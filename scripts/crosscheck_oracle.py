@@ -8,7 +8,7 @@ prints the full match table.  Exits nonzero on any mismatch.
 
 Usage:
     python scripts/crosscheck_oracle.py [--n-max 6] [--pancake-k-max 8]
-                                        [--reversal-k-max 5] [--workers W]
+                                        [--reversal-k-max 5]
 """
 import argparse
 import sys
@@ -26,7 +26,6 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--pancake-k-max", type=int, default=8)
     parser.add_argument("--reversal-k-max", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     failed = False
@@ -35,7 +34,7 @@ def main() -> int:
         (Family.REVERSAL, args.reversal_k_max),
     ):
         t0 = time.perf_counter()
-        report = verify(family, k_max=k_max, n_max=args.n_max, workers=args.workers)
+        report = verify(family, k_max=k_max, n_max=args.n_max)
         print(report.to_table())
         print(f"({time.perf_counter() - t0:.1f}s)\n")
         failed = failed or not report.all_match

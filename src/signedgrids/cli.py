@@ -13,19 +13,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from . import cache, gridclass, oracle, poly
+from . import gridclass, oracle, poly
 from .distance import (
-    DEFAULT_K_CEILING,
     Family,
     ResourceLimitError,
-    _grow_pancake,
-    _grow_reversal,
+    distance_histogram,
+    distance_polynomial,
+    generator_set,
 )
 from .gridclass import LengthHistogram
-from .perm import compactify, format_perm, pack_perm, parse_perm, unpack_perm
+from .perm import compactify, format_perm, parse_perm
 
 CACHE_DIR_ENV = "SIGNEDGRIDS_CACHE_DIR"
 
@@ -33,11 +33,8 @@ CACHE_DIR_ENV = "SIGNEDGRIDS_CACHE_DIR"
 @dataclass
 class Config:
     cache_dir: Path | None = None
-    k_ceiling: dict[Family, int] = field(default_factory=lambda: dict(DEFAULT_K_CEILING))
-    n_ceiling: int = oracle.DEFAULT_N_CEILING
     fmt: str = "text"
     verbose: bool = False
-    workers: int = 1
 
 
 def _default_cache_dir() -> Path | None:
@@ -70,65 +67,13 @@ def _hist_summary(hist: LengthHistogram) -> str:
     return "# |S| by length: " + ", ".join(parts)
 
 
-def _distance_histogram(cfg: Config, family: Family, k: int) -> LengthHistogram:
-    """Histogram of the distance-<=k class, through the disk cache if set."""
-    if cfg.cache_dir is not None:
-        hp = cache.hist_path(cfg.cache_dir, family, k)
-        if hp.exists():
-            return cache.read_histogram(hp)
-    members = _generator_set(cfg, family, k)
-    hist = gridclass.closure_histogram(members, cfg.workers)
-    if cfg.cache_dir is not None:
-        cache.write_histogram(cache.hist_path(cfg.cache_dir, family, k), hist)
-    return hist
-
-
-def _generator_set(cfg: Config, family: Family, k: int) -> gridclass.PermSet:
-    """Pi_k, resuming from the highest cached level when possible."""
-    grow_from = 0
-    level: gridclass.PermSet | None = None
-    if cfg.cache_dir is not None:
-        for j in range(k, 0, -1):
-            pp = cache.pi_path(cfg.cache_dir, family, j)
-            if pp.exists():
-                level = cache.read_permset(pp)
-                grow_from = j
-                break
-    if level is None:
-        level = frozenset({(1,)})
-    if family is Family.PANCAKE:
-        packed = {pack_perm(p) for p in level}
-        for j in range(grow_from + 1, k + 1):
-            packed = _grow_pancake(packed)
-            if cfg.cache_dir is not None:
-                cache.write_permset(
-                    cache.pi_path(cfg.cache_dir, family, j),
-                    frozenset(unpack_perm(b) for b in packed),
-                )
-        return frozenset(unpack_perm(b) for b in packed)
-    for j in range(grow_from + 1, k + 1):
-        level = _grow_reversal(level)
-        if cfg.cache_dir is not None:
-            cache.write_permset(cache.pi_path(cfg.cache_dir, family, j), level)
-    return level
-
-
-def _check_ceiling(cfg: Config, family: Family, k: int) -> None:
-    ceiling = cfg.k_ceiling[family]
-    if k > ceiling:
-        raise ResourceLimitError(
-            f"k={k} exceeds the {family.value} ceiling of {ceiling}; "
-            f"pass --k-ceiling {k} if you intend to wait for this computation"
-        )
-
-
 def cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
     if args.perm is not None:
         members = frozenset({parse_perm(args.perm)})
     else:
         lines = Path(args.input).read_text().splitlines()
         members = gridclass.permset_from_lines(lines)
-    hist = gridclass.closure_histogram(members, cfg.workers)
+    hist = gridclass.closure_histogram(members)
     p = poly.from_histogram(hist.counts)
     if cfg.verbose:
         print(_hist_summary(hist))
@@ -140,46 +85,33 @@ def cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_distance(cfg: Config, family: Family, args: argparse.Namespace) -> int:
     k = args.k
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    _check_ceiling(cfg, family, k)
-    if args.exact and k < 1:
+    if args.exact and k == 0:
         raise ValueError("--exact needs k >= 1")
-    hist = _distance_histogram(cfg, family, k)
-    p = poly.from_histogram(hist.counts)
+    p = distance_polynomial(family, k, args.k_ceiling, cfg.cache_dir)
     if args.exact:
-        p = p - poly.from_histogram(_distance_histogram(cfg, family, k - 1).counts)
+        p = p - distance_polynomial(family, k - 1, args.k_ceiling, cfg.cache_dir)
     if cfg.verbose:
-        members = _generator_set(cfg, family, k)
-        print(f"# |Pi_{k}| = {len(members)}")
-        print(_hist_summary(hist))
+        print(f"# |Pi_{k}| = {len(generator_set(family, k, cfg.cache_dir))}")
+        print(_hist_summary(distance_histogram(family, k, cfg.cache_dir)))
     _print_poly(p, cfg, args.eval_at)
     return 0
 
 
 def cmd_verify(cfg: Config, args: argparse.Namespace) -> int:
-    family = Family(args.family)
-    if args.k_max < 0 or args.n_max < 1:
-        raise ValueError("verify needs k-max >= 0 and n-max >= 1")
-    _check_ceiling(cfg, family, args.k_max)
-    polys = []
-    for k in range(args.k_max + 1):
-        polys.append(poly.from_histogram(_distance_histogram(cfg, family, k).counts))
-    rows = []
-    for n in range(1, args.n_max + 1):
-        hist = oracle.bfs_histogram(n, family, cfg.n_ceiling, cfg.workers)
-        for k in range(args.k_max + 1):
-            value = polys[k](n)
-            if value.denominator != 1:
-                raise SystemExit(f"internal error: non-integer count at n={n}, k={k}: {value}")
-            rows.append(oracle.VerifyRow(n, k, value.numerator, hist.within(k)))
-    report = oracle.VerifyReport(family, tuple(rows))
+    report = oracle.verify(
+        Family(args.family),
+        args.k_max,
+        args.n_max,
+        args.k_ceiling,
+        args.n_ceiling,
+        cfg.cache_dir,
+    )
     print(report.to_json() if cfg.fmt == "json" else report.to_table())
     return 0 if report.all_match else 1
 
 
 def cmd_downset(cfg: Config, args: argparse.Namespace) -> int:
-    members = gridclass.complete_and_compact({parse_perm(args.perm)}, cfg.workers)
+    members = gridclass.complete_and_compact({parse_perm(args.perm)})
     for line in gridclass.permset_to_lines(members):
         print(line)
     return 0
@@ -203,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", type=Path, default=None, help=f"cache directory (or ${CACHE_DIR_ENV})")
     parser.add_argument("--format", choices=("text", "json", "latex"), default="text")
     parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="polynomial of the grid class of a permutation set")
@@ -224,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-max", type=int, required=True)
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--k-ceiling", type=int, default=None)
-    p_verify.add_argument("--n-ceiling", type=int, default=None)
+    p_verify.add_argument("--n-ceiling", type=int, default=oracle.DEFAULT_N_CEILING)
 
     p_down = sub.add_parser("downset", help="compact representatives of one permutation's class")
     p_down.add_argument("--perm", required=True)
@@ -241,12 +172,7 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir if args.cache_dir is not None else _default_cache_dir(),
         fmt=args.format,
         verbose=args.verbose,
-        workers=max(1, args.workers),
     )
-    if getattr(args, "k_ceiling", None) is not None:
-        cfg.k_ceiling = {f: args.k_ceiling for f in Family}
-    if getattr(args, "n_ceiling", None) is not None:
-        cfg.n_ceiling = args.n_ceiling
     try:
         if args.command == "enumerate":
             return cmd_enumerate(cfg, args)
@@ -261,10 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compactify":
             return cmd_compactify(cfg, args)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ValueError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, ResourceLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,13 +11,18 @@ Prefix reversals (burnt pancake flips) give members of length k+1;
 block reversals give members of length 2k+1.  Member counts are measured,
 never assumed: `pancake_pi(k)` deduplicates at every level and callers can
 take `len()` of the result.
+
+This module holds the whole pipeline, Pi_k -> closure -> histogram ->
+polynomial, and is the only one that reads or writes the on-disk store
+(`cache`).  Both families grow on the packed byte encoding of `perm`.
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Sequence
 
-from . import gridclass, poly
+from . import cache, gridclass, poly
 from .perm import (
     NEGATE_TABLE,
     SHIFT_UP_TABLE,
@@ -48,6 +53,19 @@ class ResourceLimitError(RuntimeError):
     """A requested computation exceeds the configured resource ceiling."""
 
 
+def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
+    """Refuse a negative k, or one above the ceiling (defaults: pancake 10,
+    reversal 5) before any work starts."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    ceiling = DEFAULT_K_CEILING[family] if k_ceiling is None else k_ceiling
+    if k > ceiling:
+        raise ResourceLimitError(
+            f"k={k} exceeds the {family.value} ceiling of {ceiling}; raise it explicitly "
+            f"(--k-ceiling {k}) if you intend to wait for this computation"
+        )
+
+
 def _grow_pancake(level: set[bytes]) -> set[bytes]:
     """One recursion step: split each block once and flip up to the split."""
     out: set[bytes] = set()
@@ -67,10 +85,54 @@ def _grow_pancake(level: set[bytes]) -> set[bytes]:
     return out
 
 
-def _pancake_pi_packed(k: int) -> set[bytes]:
-    level = {pack_perm((1,))}
-    for _ in range(k):
-        level = _grow_pancake(level)
+def _grow_reversal(level: set[bytes]) -> set[bytes]:
+    """One recursion step: split two blocks (possibly the same one) and
+    reverse everything between the two split points."""
+    out: set[bytes] = set()
+    add = out.add
+    for b in level:
+        for i in range(len(b)):
+            c = b[i]
+            if c > 128:
+                once = b.translate(SHIFT_UP_TABLE[c - 128])
+                once = once[:i] + bytes((c, c + 1)) + once[i + 1 :]
+            else:
+                once = b.translate(SHIFT_UP_TABLE[128 - c])
+                once = once[:i] + bytes((c - 1, c)) + once[i + 1 :]
+            # Block j >= i of b sits at j + 1 in `once`; for j == i that is
+            # the second half of the block just split, so splitting it again
+            # gives a block of three.
+            for j in range(i + 1, len(once)):
+                d = once[j]
+                if d > 128:
+                    twice = once.translate(SHIFT_UP_TABLE[d - 128])
+                    twice = twice[:j] + bytes((d, d + 1)) + twice[j + 1 :]
+                else:
+                    twice = once.translate(SHIFT_UP_TABLE[128 - d])
+                    twice = twice[:j] + bytes((d - 1, d)) + twice[j + 1 :]
+                add(twice[: i + 1] + twice[i + 1 : j + 1].translate(NEGATE_TABLE)[::-1] + twice[j + 1 :])
+    return out
+
+
+def generator_set(family: Family, k: int, cache_dir: Path | None = None) -> set[bytes]:
+    """
+    Pi_k in the packed encoding.  With a store, growth resumes from the
+    highest cached level and every new level is written to it.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    grow = _grow_pancake if family is Family.PANCAKE else _grow_reversal
+    level, grown = {pack_perm((1,))}, 0
+    if cache_dir is not None:
+        for j in range(k, 0, -1):
+            path = cache.pi_path(cache_dir, family, j)
+            if path.exists():
+                level, grown = cache.read_packed(path), j
+                break
+    for j in range(grown + 1, k + 1):
+        level = grow(level)
+        if cache_dir is not None:
+            cache.write_packed(cache.pi_path(cache_dir, family, j), level)
     return level
 
 
@@ -80,24 +142,7 @@ def pancake_pi(k: int) -> gridclass.PermSet:
     Pi_{k+1} = { f_i(pi inflated by e_i + 1) : pi in Pi_k, 1 <= i <= len(pi) }.
     Every member has length k+1.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return frozenset(unpack_perm(b) for b in _pancake_pi_packed(k))
-
-
-def _grow_reversal(level: Iterable[SignedPerm]) -> frozenset[SignedPerm]:
-    """One recursion step: split two blocks (possibly the same one) and
-    reverse everything between the two split points."""
-    nxt: set[SignedPerm] = set()
-    for pi in level:
-        m = len(pi)
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                sizes = [1] * m
-                sizes[i - 1] += 1
-                sizes[j - 1] += 1
-                nxt.add(block_reversal(inflate(pi, sizes), i + 1, j + 1))
-    return frozenset(nxt)
+    return frozenset(unpack_perm(b) for b in generator_set(Family.PANCAKE, k))
 
 
 def reversal_pi(k: int) -> gridclass.PermSet:
@@ -107,35 +152,40 @@ def reversal_pi(k: int) -> gridclass.PermSet:
                  pi in Pi_k, 1 <= i <= j <= len(pi) }.
     Every member has length 2k+1.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    level: frozenset[SignedPerm] = frozenset({(1,)})
-    for _ in range(k):
-        level = _grow_reversal(level)
-    return level
+    return frozenset(unpack_perm(b) for b in generator_set(Family.REVERSAL, k))
 
 
-_POLY_MEMO: dict[tuple[Family, int], poly.Polynomial] = {}
-_HIST_MEMO: dict[tuple[Family, int], gridclass.LengthHistogram] = {}
+# In-process results, keyed by store as well: a hit must not skip the
+# files a caller with a new store expects to be written.
+_HIST_MEMO: dict[tuple[Family, int, Path | None], gridclass.LengthHistogram] = {}
 
 
-def distance_histogram(family: Family, k: int, workers: int = 1) -> gridclass.LengthHistogram:
-    """Length histogram of the compact representatives of the distance-<=k class."""
-    key = (family, k)
-    if key not in _HIST_MEMO:
-        if family is Family.PANCAKE:
-            hist = gridclass.closure_histogram_packed(_pancake_pi_packed(k), workers)
+def distance_histogram(
+    family: Family, k: int, cache_dir: Path | None = None
+) -> gridclass.LengthHistogram:
+    """
+    Length histogram of the compact representatives of the distance-<=k
+    class: from memory, else from the store, else computed (and stored).
+    """
+    key = (family, k, None if cache_dir is None else Path(cache_dir))
+    hist = _HIST_MEMO.get(key)
+    if hist is None:
+        path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
+        if path is not None and path.exists():
+            hist = cache.read_histogram(path)
         else:
-            hist = gridclass.closure_histogram(reversal_pi(k), workers)
+            hist = gridclass.closure_histogram_packed(generator_set(family, k, cache_dir))
+            if path is not None:
+                cache.write_histogram(path, hist)
         _HIST_MEMO[key] = hist
-    return _HIST_MEMO[key]
+    return hist
 
 
 def distance_polynomial(
     family: Family,
     k: int,
     k_ceiling: int | None = None,
-    workers: int = 1,
+    cache_dir: Path | None = None,
 ) -> poly.Polynomial:
     """
     The polynomial counting signed permutations of length n whose sorting
@@ -144,18 +194,8 @@ def distance_polynomial(
     Raises ResourceLimitError above the ceiling (defaults: pancake 10,
     reversal 5); pass `k_ceiling` to raise or lower the guard.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    ceiling = DEFAULT_K_CEILING[family] if k_ceiling is None else k_ceiling
-    if k > ceiling:
-        raise ResourceLimitError(
-            f"k={k} exceeds the {family.value} ceiling of {ceiling}; "
-            f"raise it explicitly if you intend to wait for this computation"
-        )
-    key = (family, k)
-    if key not in _POLY_MEMO:
-        _POLY_MEMO[key] = poly.from_histogram(distance_histogram(family, k, workers).counts)
-    return _POLY_MEMO[key]
+    check_k(family, k, k_ceiling)
+    return poly.from_histogram(distance_histogram(family, k, cache_dir).counts)
 
 
 # ---------------------------------------------------------------------------

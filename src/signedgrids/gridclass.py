@@ -15,7 +15,6 @@ be compact) but only compact ones are counted or emitted.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -49,30 +48,16 @@ def _is_compact_packed(b: bytes) -> bool:
     return all(b[i + 1] - b[i] != 1 for i in range(len(b) - 1))
 
 
-def _expand_chunk(chunk: list[bytes], length: int) -> set[bytes]:
+def _expand_level(level: set[bytes], length: int) -> set[bytes]:
     """All single deletions of the given packed permutations."""
     out: set[bytes] = set()
     add = out.add
-    for b in chunk:
+    for b in level:
         for i in range(length):
             c = b[i]
             a = c - 128 if c > 128 else 128 - c
             add((b[:i] + b[i + 1 :]).translate(DELETE_TABLE[a]))
     return out
-
-
-def _expand_level(level: set[bytes], length: int, workers: int) -> set[bytes]:
-    if workers <= 1 or len(level) < 4 * workers:
-        return _expand_chunk(list(level), length)
-    items = list(level)
-    step = (len(items) + workers - 1) // workers
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ch: _expand_chunk(ch, length), chunks))
-    merged = parts[0]
-    for part in parts[1:]:
-        merged |= part
-    return merged
 
 
 def _seed_levels(packed: Iterable[bytes]) -> dict[int, set[bytes]]:
@@ -83,9 +68,7 @@ def _seed_levels(packed: Iterable[bytes]) -> dict[int, set[bytes]]:
     return seeds
 
 
-def _closure(
-    seeds: dict[int, set[bytes]], workers: int, collect: set[bytes] | None
-) -> dict[int, int]:
+def _closure(seeds: dict[int, set[bytes]], collect: set[bytes] | None) -> dict[int, int]:
     counts: dict[int, int] = {}
     if seeds:
         level: set[bytes] = set()
@@ -97,11 +80,11 @@ def _closure(
                 if collect is not None:
                     collect.update(compact)
             if m > 1:
-                level = _expand_level(level, m, workers)
+                level = _expand_level(level, m)
     return counts
 
 
-def complete_and_compact(perms: Iterable[SignedPerm], workers: int = 1) -> PermSet:
+def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
     """
     The compact representative set S of Grid(perms): every permutation
     contained in a member of the input, kept only if compact, together
@@ -109,23 +92,23 @@ def complete_and_compact(perms: Iterable[SignedPerm], workers: int = 1) -> PermS
     decomposes as the disjoint union of the fillings of the members of S.
     """
     packed: set[bytes] = set()
-    _closure(_seed_levels(pack_perm(p) for p in perms), workers, packed)
+    _closure(_seed_levels(pack_perm(p) for p in perms), packed)
     members = {unpack_perm(b) for b in packed}
     members.add(())  # the empty permutation is in every downset
     return frozenset(members)
 
 
-def closure_histogram(perms: Iterable[SignedPerm], workers: int = 1) -> LengthHistogram:
+def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:
     """
     Length histogram of `complete_and_compact(perms)` without materializing
     the set; this is the memory-friendly path for large distance classes.
     """
-    return closure_histogram_packed((pack_perm(p) for p in perms), workers)
+    return closure_histogram_packed(pack_perm(p) for p in perms)
 
 
-def closure_histogram_packed(packed: Iterable[bytes], workers: int = 1) -> LengthHistogram:
+def closure_histogram_packed(packed: Iterable[bytes]) -> LengthHistogram:
     """As `closure_histogram`, taking already-packed permutations."""
-    return LengthHistogram(_closure(_seed_levels(packed), workers, None), True)
+    return LengthHistogram(_closure(_seed_levels(packed), None), True)
 
 
 def length_histogram(members: Iterable[SignedPerm]) -> LengthHistogram:
@@ -140,12 +123,12 @@ def length_histogram(members: Iterable[SignedPerm]) -> LengthHistogram:
     return LengthHistogram(counts, has_epsilon)
 
 
-def enumerate_gridclass(perms: Iterable[SignedPerm], workers: int = 1) -> Polynomial:
+def enumerate_gridclass(perms: Iterable[SignedPerm]) -> Polynomial:
     """
     The polynomial P with P(n) = |Grid(perms) intersect B_n| for all
     integers n >= 1.
     """
-    return from_histogram(closure_histogram(perms, workers).counts)
+    return from_histogram(closure_histogram(perms).counts)
 
 
 def grid_member(sigma: SignedPerm, members: PermSet) -> bool:

@@ -9,11 +9,11 @@ reversal or block reversal is a translate plus slice reversal.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
+from pathlib import Path
 
-from .distance import DEFAULT_K_CEILING, Family, ResourceLimitError, distance_polynomial
+from .distance import Family, ResourceLimitError, check_k, distance_polynomial
 from .perm import NEGATE_TABLE, identity, pack_perm
 
 DEFAULT_N_CEILING = 7
@@ -48,25 +48,16 @@ def _neighbors_reversal(state: bytes, n: int) -> list[bytes]:
     return out
 
 
-def _expand_frontier(chunk: list[bytes], family: Family, n: int) -> set[bytes]:
+def _expand_frontier(frontier: list[bytes], family: Family, n: int) -> set[bytes]:
     gen = _neighbors_pancake if family is Family.PANCAKE else _neighbors_reversal
     out: set[bytes] = set()
-    for state in chunk:
+    for state in frontier:
         out.update(gen(state, n))
     return out
 
 
-def bfs_histogram(
-    n: int,
-    family: Family,
-    n_ceiling: int = DEFAULT_N_CEILING,
-    workers: int = 1,
-) -> DistanceHistogram:
-    """
-    Exact layer sizes of B_n from the identity under the family's
-    generators.  Refuses n above the ceiling (default 7, i.e. 645120
-    states); raise it explicitly to go to n = 8 and beyond.
-    """
+def check_n(n: int, n_ceiling: int = DEFAULT_N_CEILING) -> None:
+    """Refuse n < 1, or n above the oracle ceiling, before any search starts."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > n_ceiling:
@@ -74,21 +65,21 @@ def bfs_histogram(
             f"n={n} exceeds the oracle ceiling of {n_ceiling} "
             f"({2 ** n * factorial(n)} states); raise the ceiling explicitly to proceed"
         )
+
+
+def bfs_histogram(n: int, family: Family, n_ceiling: int = DEFAULT_N_CEILING) -> DistanceHistogram:
+    """
+    Exact layer sizes of B_n from the identity under the family's
+    generators.  Refuses n above the ceiling (default 7, i.e. 645120
+    states); raise it explicitly to go to n = 8 and beyond.
+    """
+    check_n(n, n_ceiling)
     start = pack_perm(identity(n))
     visited: set[bytes] = {start}
     frontier: list[bytes] = [start]
     counts = [1]
     while frontier:
-        if workers > 1 and len(frontier) >= 4 * workers:
-            step = (len(frontier) + workers - 1) // workers
-            chunks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda ch: _expand_frontier(ch, family, n), chunks))
-            produced: set[bytes] = set()
-            for part in parts:
-                produced |= part
-        else:
-            produced = _expand_frontier(frontier, family, n)
+        produced = _expand_frontier(frontier, family, n)
         produced -= visited
         if not produced:
             break
@@ -178,19 +169,19 @@ def verify(
     n_max: int,
     k_ceiling: int | None = None,
     n_ceiling: int = DEFAULT_N_CEILING,
-    workers: int = 1,
+    cache_dir: Path | None = None,
 ) -> VerifyReport:
     """
     Compare the enumerating polynomials against BFS counts for every
-    1 <= n <= n_max and 0 <= k <= k_max.  Mismatches are report content,
-    not errors.
+    1 <= n <= n_max and 0 <= k <= k_max.  Both ceilings are checked before
+    anything is computed.  Mismatches are report content, not errors.
     """
-    if k_ceiling is None:
-        k_ceiling = DEFAULT_K_CEILING[family]
-    polys = [distance_polynomial(family, k, k_ceiling, workers) for k in range(k_max + 1)]
+    check_k(family, k_max, k_ceiling)
+    check_n(n_max, n_ceiling)
+    polys = [distance_polynomial(family, k, k_ceiling, cache_dir) for k in range(k_max + 1)]
     rows = []
     for n in range(1, n_max + 1):
-        hist = bfs_histogram(n, family, n_ceiling, workers)
+        hist = bfs_histogram(n, family, n_ceiling)
         for k in range(k_max + 1):
             value = polys[k](n)
             if value.denominator != 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -194,49 +194,41 @@ def format_coeff_array(p: Polynomial) -> str:
     return "[" + ", ".join(_frac_str(c) for c in p.coeffs) + "]"
 
 
-def format_text(p: Polynomial) -> str:
-    """Readable sum in ascending degree, e.g. ``1 + 1/2 n + 1/2 n^2``."""
+def _format_sum(
+    p: Polynomial, magnitude: Callable[[Fraction], str], power: Callable[[int], str]
+) -> str:
+    """Signed terms in ascending degree; `magnitude` renders |c|, `power` n^i."""
     if not p:
         return "0"
     parts: list[str] = []
     for i, c in enumerate(p.coeffs):
         if c == 0:
             continue
-        mag = _frac_str(abs(c))
+        mag = magnitude(abs(c))
         if i == 0:
             term = mag
         else:
-            var = "n" if i == 1 else f"n^{i}"
+            var = "n" if i == 1 else power(i)
             term = var if mag == "1" else f"{mag} {var}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts)
+
+
+def format_text(p: Polynomial) -> str:
+    """Readable sum in ascending degree, e.g. ``1 + 1/2 n + 1/2 n^2``."""
+    return _format_sum(p, _frac_str, lambda i: f"n^{i}")
 
 
 def format_latex(p: Polynomial) -> str:
     """LaTeX rendering in ascending degree."""
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if abs(c.denominator) == 1:
-            mag = str(abs(c.numerator))
-        else:
-            mag = rf"\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-        if i == 0:
-            term = mag
-        else:
-            var = "n" if i == 1 else f"n^{{{i}}}"
-            term = var if mag == "1" else f"{mag} {var}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
+    return _format_sum(
+        p,
+        lambda c: _frac_str(c) if c.denominator == 1 else rf"\frac{{{c.numerator}}}{{{c.denominator}}}",
+        lambda i: f"n^{{{i}}}",
+    )
 
 
 def to_json_dict(p: Polynomial) -> dict:

@@ -1,9 +1,13 @@
 """Cache file formats round-trip losslessly and reject foreign files."""
+import hashlib
+
 import pytest
 
 from signedgrids import cache
+from signedgrids.cli import main
 from signedgrids.distance import Family
 from signedgrids.gridclass import LengthHistogram
+from signedgrids.perm import pack_perm
 
 
 class TestPermsetFiles:
@@ -49,3 +53,65 @@ class TestHistogramFiles:
         assert cache.pi_path(tmp_path, Family.PANCAKE, 9).name == "pi_9.perms"
         assert cache.hist_path(tmp_path, Family.REVERSAL, 3).name == "S_3.hist"
         assert cache.pi_path(tmp_path, Family.PANCAKE, 9).parent.name == "pancake"
+
+
+# sha256 of every file that `pancake --k 0..5` and `reversal --k 0..4`,
+# run in turn into one empty store, leave behind.
+COLD_DIGESTS = {
+    "pancake/S_0.hist": "ac3fbb535d571726c54a39398ca8b125b112ce45031efd40cffbe81bed584474",
+    "pancake/S_1.hist": "7f1f566823fe32d1177c65f77ae719a9a1ffccdb1415041bb5f3975fe817a985",
+    "pancake/S_2.hist": "a2a8c75d8e4604ead50ccd7e66ddb1b4a9c284ae7534a1737407b7bb3a72ed7b",
+    "pancake/S_3.hist": "7e2ec43a2633c717b48b477c837a702898ff6bf1f18ae68377d1a95abc231aa9",
+    "pancake/S_4.hist": "ab28d2e43e614c64383342d86ec89ca47504015e239f88617001a562921b67f9",
+    "pancake/S_5.hist": "20d45dde6f75bd2abb663b9c7f1b09934fdba6dc845c9daf5048734fc95546a1",
+    "pancake/pi_1.perms": "8f249876827b7d8bec8985d3cfa06b444fad3afe42b479a238cdee1ab25d58e4",
+    "pancake/pi_2.perms": "8cdd368e5f7689370c2b904ae810794b1ebd1e5dbebfa137d19f3ec7ae1a1c8a",
+    "pancake/pi_3.perms": "ae88076acc42d4c767242d40ba843c594bbd43e0c9483b8a3c8cf34a570e8dde",
+    "pancake/pi_4.perms": "b6ff55693118933bfd6f125227a90593f56d540f043659988f667dbbd44bd17f",
+    "pancake/pi_5.perms": "de6ea2c9c9ddb4141b7097023c5f619e7930bbe55d372ffc9bb5c42604fd7414",
+    "reversal/S_0.hist": "ac3fbb535d571726c54a39398ca8b125b112ce45031efd40cffbe81bed584474",
+    "reversal/S_1.hist": "22737ad9fa4ae1e6ec7a6532a864945a01c6b06f7349de49d0333a3034ddef1b",
+    "reversal/S_2.hist": "3eeb7c40f608a2b2baf823bfe957d809147efc1b58a3cf72a9925e0bbc481832",
+    "reversal/S_3.hist": "17d3ccf58bff1ad2c2d8487c71508f67907866dc703ff13084c0969b0633effd",
+    "reversal/S_4.hist": "3894be9f125afec2dcdce7a861dc8aec07441e001020ba447c0614b18e10e7b5",
+    "reversal/pi_1.perms": "6ac6632700b0041c51ce7af5ba52a2dab508f19cc31b0c885c7d62f6dcb5f1ec",
+    "reversal/pi_2.perms": "f12a4028d83804a3c2411cf2645191ebc49bdf6dca9ee45b0dded5ccbde6504f",
+    "reversal/pi_3.perms": "af895b57efc5243f96be60a720fd1b39e00062d7cb3bf3d9961e42322c98ef8b",
+    "reversal/pi_4.perms": "ba4a4eb8500de5dc7e2346bd9377df59a61262a99301108db694d7fe3efaf896",
+}
+
+
+def test_cold_written_bytes_are_pinned(tmp_path, capsys):
+    for family, k_max in (("pancake", 5), ("reversal", 4)):
+        for k in range(k_max + 1):
+            assert main(["--cache-dir", str(tmp_path), family, "--k", str(k)]) == 0
+    capsys.readouterr()
+    written = {
+        f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in tmp_path.rglob("*")
+        if f.is_file()
+    }
+    assert written == COLD_DIGESTS
+
+
+class TestPackedFiles:
+    def test_round_trip_matches_tuple_reader(self, tmp_path):
+        members = frozenset({(1, -2), (-1,), (2, -1, 3), (-3, 1, -2)})
+        path = tmp_path / "p.perms"
+        cache.write_packed(path, {pack_perm(p) for p in members})
+        assert cache.read_packed(path) == {pack_perm(p) for p in members}
+        assert cache.read_permset(path) == members
+
+    def test_same_bytes_as_tuple_writer(self, tmp_path):
+        members = frozenset({(), (1,), (-1,), (1, -2), (-2, 1), (2, -1, 3)})
+        tuples, packed = tmp_path / "t.perms", tmp_path / "p.perms"
+        cache.write_permset(tuples, members)
+        cache.write_packed(packed, {pack_perm(p) for p in members})
+        assert tuples.read_bytes() == packed.read_bytes()
+
+    @pytest.mark.parametrize("body", ["1 3\n", "1 1\n", "0\n", "1 -1\n", "x\n", "1\n\n2 1\n"])
+    def test_malformed_line_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.perms"
+        path.write_text(cache.PERMS_HEADER + "\n1\n" + body)
+        with pytest.raises(ValueError, match="line [23]"):
+            cache.read_packed(path)

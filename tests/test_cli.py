@@ -3,7 +3,12 @@ import json
 
 import pytest
 
+from signedgrids import distance
 from signedgrids.cli import CACHE_DIR_ENV, main
+
+
+def _no_growth(level):
+    raise AssertionError("Pi_k growth was not expected here")
 
 
 def run(capsys, *argv):
@@ -132,6 +137,13 @@ class TestCache:
         assert code == 0
         assert (tmp_path / "reversal" / "S_2.hist").exists()
 
+    def test_warm_verbose_grows_nothing(self, capsys, tmp_path, monkeypatch):
+        run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
+        monkeypatch.setattr(distance, "_grow_pancake", _no_growth)
+        code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", "4")
+        assert code == 0
+        assert out.splitlines()[0] == "# |Pi_4| = 24"
+
     def test_corrupt_cache_rejected(self, capsys, tmp_path):
         target = tmp_path / "pancake" / "S_2.hist"
         target.parent.mkdir(parents=True)
@@ -156,6 +168,15 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--family", "pancake", "--k-max", "0", "--n-max", "2")
         assert code == 0
         assert "polynomial=1" in out
+
+    def test_refuses_before_computing(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "verify", "--family", "pancake", "--k-max", "7", "--n-max", "8"
+        )
+        assert code == 2
+        assert out == ""
+        assert "ceiling" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "--family", "reversal", "--k-max", "1", "--n-max", "2")
@@ -199,8 +220,3 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
-
-    def test_workers_do_not_change_output(self, capsys):
-        _, base, _ = run(capsys, "enumerate", "--perm", "3 -1 2 -4")
-        _, multi, _ = run(capsys, "--workers", "3", "enumerate", "--perm", "3 -1 2 -4")
-        assert base == multi

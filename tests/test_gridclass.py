@@ -63,12 +63,6 @@ class TestCompleteAndCompact:
                 if is_compact(q):
                     assert q in closed
 
-    def test_deterministic_across_worker_counts(self):
-        members = {(-2, 1, 3), (3, -1, 2, -4)}
-        baseline = complete_and_compact(members, workers=1)
-        for workers in (2, 3):
-            assert complete_and_compact(members, workers=workers) == baseline
-
 
 class TestLengthHistogram:
     def test_worked_example(self):

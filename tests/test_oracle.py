@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from signedgrids import distance
 from signedgrids.distance import Family, ResourceLimitError
 from signedgrids.oracle import (
     VerifyReport,
@@ -38,11 +39,6 @@ class TestBfsHistogram:
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError, match="ceiling"):
             bfs_histogram(8, Family.PANCAKE)
-
-    def test_deterministic_across_worker_counts(self):
-        baseline = bfs_histogram(4, Family.REVERSAL, workers=1)
-        for workers in (2, 3):
-            assert bfs_histogram(4, Family.REVERSAL, workers=workers) == baseline
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_pancake_layers_match_iddfs(self, n):
@@ -92,6 +88,20 @@ class TestVerify:
         report = verify(Family.PANCAKE, k_max=0, n_max=2)
         assert report.all_match
         assert all(r.polynomial_value == 1 for r in report.rows)
+
+    @pytest.mark.parametrize(
+        "family,k_max,n_max",
+        [(Family.PANCAKE, 11, 4), (Family.PANCAKE, 3, 8), (Family.REVERSAL, 6, 4), (Family.REVERSAL, 2, 8)],
+    )
+    def test_ceilings_refused_before_computing(self, monkeypatch, family, k_max, n_max):
+        def no_growth(level):
+            raise AssertionError("verify computed before checking its ceilings")
+
+        monkeypatch.setattr(distance, "_grow_pancake", no_growth)
+        monkeypatch.setattr(distance, "_grow_reversal", no_growth)
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            verify(family, k_max=k_max, n_max=n_max)
 
     def test_mismatch_reported_not_raised(self):
         good = VerifyRow(2, 1, 3, 3)
