@@ -6,18 +6,20 @@ Layout under the cache directory:
     {family}/pi_{k}.perms   generator set Pi_k, PermSet text format
     {family}/S_{k}.hist     length histogram of the compact representatives
 
-Every cache file starts with a header line carrying the format version;
-files with an unexpected header are rejected rather than silently
-misread.  Warm-cache runs must produce byte-identical command output, so
-everything written here is sorted.
+Every cache file starts with a header line carrying the format version.
+A file with an unexpected header, or with any line the writer would not
+have written, is rejected, naming the file and the line, rather than
+silently misread.  Warm-cache runs must produce byte-identical command
+output, so everything written here is sorted.
 """
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .gridclass import LengthHistogram, PermSet, permset_from_lines
-from .perm import pack_perm
+from .gridclass import LengthHistogram, PermSet
+from .perm import format_packed, pack_perm, parse_packed, unpack_perm
 
 if TYPE_CHECKING:  # only `family.value` is used, so no import at run time
     from .distance import Family
@@ -25,14 +27,8 @@ if TYPE_CHECKING:  # only `family.value` is used, so no import at run time
 PERMS_HEADER = "# signedgrids permset v1"
 HIST_HEADER = "# signedgrids hist v1"
 
-# The text of the entry each packed byte encodes; sorting lines by
-# (entry count, text) is the order of `gridclass.permset_to_lines`.
-_ENTRY_TEXT = [str(c - 128) for c in range(256)]
-_ENTRY_CODE = {text: c for c, text in enumerate(_ENTRY_TEXT) if c != 128}
-# A packed line is a signed permutation iff its bytes mapped through
-# _ABS_TABLE (|x| + 128) and sorted run 129, 130, ...
-_ABS_TABLE = bytes(128 + abs(c - 128) if c else 0 for c in range(256))
-_ABS_RUN = bytes(range(129, 256))
+_EPSILON_LINES = {"epsilon 0": False, "epsilon 1": True}
+_COUNT_LINE = re.compile(r"([1-9][0-9]*) ([1-9][0-9]*)")
 
 
 def pi_path(cache_dir: Path, family: Family, k: int) -> Path:
@@ -51,24 +47,24 @@ def _read_lines(path: Path, header: str) -> list[str]:
 
 
 def write_packed(path: Path, packed: set[bytes]) -> None:
-    """Write packed permutations in the PermSet text format."""
-    lines = sorted((len(b), " ".join([_ENTRY_TEXT[c] for c in b])) for b in packed)
+    """Write packed permutations in the PermSet text format, sorted by
+    (entry count, text) as `gridclass.permset_to_lines` sorts."""
+    lines = sorted((len(b), format_packed(b)) for b in packed)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([PERMS_HEADER] + [text for _, text in lines]) + "\n")
 
 
 def read_packed(path: Path) -> set[bytes]:
     """Read a PermSet file straight into the packed encoding."""
-    lines = _read_lines(path, PERMS_HEADER)
-    try:
-        packed = {bytes([_ENTRY_CODE[f] for f in line.split()]) for line in lines}
-    except KeyError:
-        packed = None
-    if packed is None or b"" in packed or not all(
-        bytes(sorted(b.translate(_ABS_TABLE))) == _ABS_RUN[: len(b)] for b in packed
-    ):
-        # the slow, general parser accepts what it can and names the bad line
-        packed = {pack_perm(p) for p in permset_from_lines(lines)}
+    packed: set[bytes] = set()
+    for lineno, line in enumerate(_read_lines(path, PERMS_HEADER), start=1):
+        try:
+            b = parse_packed(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno} after the header: {exc}") from None
+        if not b and lineno != 1:
+            raise ValueError(f"{path}: line {lineno} after the header: the empty permutation may only come first")
+        packed.add(b)
     return packed
 
 
@@ -77,7 +73,7 @@ def write_permset(path: Path, members: PermSet) -> None:
 
 
 def read_permset(path: Path) -> PermSet:
-    return permset_from_lines(_read_lines(path, PERMS_HEADER))
+    return frozenset(unpack_perm(b) for b in read_packed(path))
 
 
 def write_histogram(path: Path, hist: LengthHistogram) -> None:
@@ -88,14 +84,17 @@ def write_histogram(path: Path, hist: LengthHistogram) -> None:
 
 
 def read_histogram(path: Path) -> LengthHistogram:
+    """Read a histogram file; every line must be exactly as written."""
     body = _read_lines(path, HIST_HEADER)
-    if not body or not body[0].startswith("epsilon "):
-        raise ValueError(f"{path}: missing epsilon line")
-    has_epsilon = body[0].split()[1] == "1"
+    if not body or body[0] not in _EPSILON_LINES:
+        raise ValueError(f"{path}: line 1 after the header: expected 'epsilon 0' or 'epsilon 1'")
     counts: dict[int, int] = {}
-    for line in body[1:]:
-        if not line.strip():
-            continue
-        m_str, c_str = line.split()
-        counts[int(m_str)] = int(c_str)
-    return LengthHistogram(counts, has_epsilon)
+    for lineno, line in enumerate(body[1:], start=2):
+        match = _COUNT_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"{path}: line {lineno} after the header: two positive integers expected: {line!r}")
+        m, count = int(match[1]), int(match[2])
+        if m in counts:
+            raise ValueError(f"{path}: line {lineno} after the header: length {m} appears twice")
+        counts[m] = count
+    return LengthHistogram(counts, _EPSILON_LINES[body[0]])

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import gridclass, oracle, poly
@@ -30,32 +29,18 @@ from .perm import compactify, format_perm, parse_perm
 CACHE_DIR_ENV = "SIGNEDGRIDS_CACHE_DIR"
 
 
-@dataclass
-class Config:
-    cache_dir: Path | None = None
-    fmt: str = "text"
-    verbose: bool = False
-
-
-def _default_cache_dir() -> Path | None:
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return None
-
-
-def _print_poly(p: poly.Polynomial, cfg: Config, eval_at: int | None) -> None:
-    if eval_at is not None:
-        value = p(eval_at)
+def _print_poly(p: poly.Polynomial, args: argparse.Namespace) -> None:
+    if args.eval_at is not None:
+        value = p(args.eval_at)
         if value.denominator != 1:
             raise SystemExit(
-                f"internal error: polynomial value at n={eval_at} is not an integer ({value})"
+                f"internal error: polynomial value at n={args.eval_at} is not an integer ({value})"
             )
         print(value.numerator)
         return
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(poly.to_json_dict(p)))
-    elif cfg.fmt == "latex":
+    elif args.format == "latex":
         print(poly.format_latex(p))
     else:
         print(poly.format_coeff_array(p))
@@ -67,7 +52,7 @@ def _hist_summary(hist: LengthHistogram) -> str:
     return "# |S| by length: " + ", ".join(parts)
 
 
-def cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.perm is not None:
         members = frozenset({parse_perm(args.perm)})
     else:
@@ -75,51 +60,51 @@ def cmd_enumerate(cfg: Config, args: argparse.Namespace) -> int:
         members = gridclass.permset_from_lines(lines)
     hist = gridclass.closure_histogram(members)
     p = poly.from_histogram(hist.counts)
-    if cfg.verbose:
+    if args.verbose:
         print(_hist_summary(hist))
-    _print_poly(p, cfg, args.eval_at)
-    if cfg.fmt == "text" and args.eval_at is None and not p:
+    _print_poly(p, args)
+    if args.format == "text" and args.eval_at is None and not p:
         print("# zero polynomial: only the empty permutation is in the class for n >= 1")
     return 0
 
 
-def cmd_distance(cfg: Config, family: Family, args: argparse.Namespace) -> int:
-    k = args.k
+def cmd_distance(args: argparse.Namespace) -> int:
+    family, k = args.family, args.k
     if args.exact and k == 0:
         raise ValueError("--exact needs k >= 1")
-    p = distance_polynomial(family, k, args.k_ceiling, cfg.cache_dir)
+    p = distance_polynomial(family, k, args.k_ceiling, args.cache_dir)
     if args.exact:
-        p = p - distance_polynomial(family, k - 1, args.k_ceiling, cfg.cache_dir)
-    if cfg.verbose:
-        print(f"# |Pi_{k}| = {len(generator_set(family, k, cfg.cache_dir))}")
-        print(_hist_summary(distance_histogram(family, k, cfg.cache_dir)))
-    _print_poly(p, cfg, args.eval_at)
+        p = p - distance_polynomial(family, k - 1, args.k_ceiling, args.cache_dir)
+    if args.verbose:
+        print(f"# |Pi_{k}| = {len(generator_set(family, k, args.cache_dir))}")
+        print(_hist_summary(distance_histogram(family, k, args.cache_dir)))
+    _print_poly(p, args)
     return 0
 
 
-def cmd_verify(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     report = oracle.verify(
         Family(args.family),
         args.k_max,
         args.n_max,
         args.k_ceiling,
         args.n_ceiling,
-        cfg.cache_dir,
+        args.cache_dir,
     )
-    print(report.to_json() if cfg.fmt == "json" else report.to_table())
+    print(report.to_json() if args.format == "json" else report.to_table())
     return 0 if report.all_match else 1
 
 
-def cmd_downset(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_downset(args: argparse.Namespace) -> int:
     members = gridclass.complete_and_compact({parse_perm(args.perm)})
     for line in gridclass.permset_to_lines(members):
         print(line)
     return 0
 
 
-def cmd_compactify(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_compactify(args: argparse.Namespace) -> int:
     core, vector = compactify(parse_perm(args.perm))
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"core": format_perm(core), "vector": list(vector)}))
     else:
         print(f"core: {format_perm(core)}")
@@ -132,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="signedgrids",
         description="Exact enumeration of grid classes of signed permutations.",
     )
-    parser.add_argument("--cache-dir", type=Path, default=None, help=f"cache directory (or ${CACHE_DIR_ENV})")
+    env_dir = os.environ.get(CACHE_DIR_ENV) or None  # argparse applies `type` to a str default
+    parser.add_argument("--cache-dir", type=Path, default=env_dir, help=f"cache directory (or ${CACHE_DIR_ENV})")
     parser.add_argument("--format", choices=("text", "json", "latex"), default="text")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -142,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--perm", help="one permutation, canonical text encoding")
     group.add_argument("--input", help="PermSet file, one permutation per line")
     p_enum.add_argument("--eval", dest="eval_at", type=int, default=None, metavar="N")
+    p_enum.set_defaults(run=cmd_enumerate)
 
     for name, family in (("pancake", Family.PANCAKE), ("reversal", Family.REVERSAL)):
         p_fam = sub.add_parser(name, help=f"{family.value} distance-class polynomial")
@@ -149,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_fam.add_argument("--exact", action="store_true", help="distance exactly k instead of at most k")
         p_fam.add_argument("--eval", dest="eval_at", type=int, default=None, metavar="N")
         p_fam.add_argument("--k-ceiling", type=int, default=None)
+        p_fam.set_defaults(run=cmd_distance, family=family)
 
     p_verify = sub.add_parser("verify", help="cross-check polynomials against the BFS oracle")
     p_verify.add_argument("--family", choices=("pancake", "reversal"), required=True)
@@ -156,37 +144,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--k-ceiling", type=int, default=None)
     p_verify.add_argument("--n-ceiling", type=int, default=oracle.DEFAULT_N_CEILING)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_down = sub.add_parser("downset", help="compact representatives of one permutation's class")
     p_down.add_argument("--perm", required=True)
+    p_down.set_defaults(run=cmd_downset)
 
     p_comp = sub.add_parser("compactify", help="compact core and filling vector of a permutation")
     p_comp.add_argument("--perm", required=True)
+    p_comp.set_defaults(run=cmd_compactify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = Config(
-        cache_dir=args.cache_dir if args.cache_dir is not None else _default_cache_dir(),
-        fmt=args.format,
-        verbose=args.verbose,
-    )
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg, args)
-        if args.command == "pancake":
-            return cmd_distance(cfg, Family.PANCAKE, args)
-        if args.command == "reversal":
-            return cmd_distance(cfg, Family.REVERSAL, args)
-        if args.command == "verify":
-            return cmd_verify(cfg, args)
-        if args.command == "downset":
-            return cmd_downset(cfg, args)
-        if args.command == "compactify":
-            return cmd_compactify(cfg, args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except (ValueError, ResourceLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

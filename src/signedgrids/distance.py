@@ -2,10 +2,13 @@
 Generator sets for the sorting-distance classes and their polynomials.
 
 The set of signed permutations sortable in at most k moves is a grid
-class.  Its generator set Pi_k is built recursively: each member of
-Pi_{k-1} is inflated to split one block (two blocks for a block reversal)
-and the corresponding move is applied, simulating one more move in every
-possible position.
+class.  Its generator set Pi_k is built recursively, one move at a time,
+by the same step for both families: each member of Pi_{k-1} has a block
+split at each of two cuts, and the segment between the cuts is reversed
+and negated, simulating one more move in every possible position.  A
+burnt pancake flip f_i is the block reversal b_{1,i}, so the pancake
+family is the case whose left cut is pinned at position 0 and needs no
+split.
 
 Prefix reversals (burnt pancake flips) give members of length k+1;
 block reversals give members of length 2k+1.  Member counts are measured,
@@ -14,7 +17,8 @@ take `len()` of the result.
 
 This module holds the whole pipeline, Pi_k -> closure -> histogram ->
 polynomial, and is the only one that reads or writes the on-disk store
-(`cache`).  Both families grow on the packed byte encoding of `perm`.
+(`cache`).  Growth works on the packed byte encoding through the
+primitives of `perm` and never decodes it itself.
 """
 from __future__ import annotations
 
@@ -25,13 +29,13 @@ from typing import Sequence
 from . import cache, gridclass, poly
 from .perm import (
     NEGATE_TABLE,
-    SHIFT_UP_TABLE,
     SignedPerm,
     block_reversal,
     identity,
     inflate,
     pack_perm,
     prefix_reversal,
+    split_packed,
     unpack_perm,
 )
 
@@ -66,51 +70,25 @@ def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
         )
 
 
-def _grow_pancake(level: set[bytes]) -> set[bytes]:
-    """One recursion step: split each block once and flip up to the split."""
+def _grow(level: set[bytes], family: Family) -> set[bytes]:
+    """
+    One recursion step: split a block at each of two cuts and reverse the
+    segment between them.  For reversals the left cut follows a split of
+    entry i; for pancakes it is pinned at position 0, with no first split.
+    """
     out: set[bytes] = set()
     add = out.add
     for b in level:
-        for i in range(1, len(b) + 1):
-            c = b[i - 1]
-            if c > 128:
-                a = c - 128
-                pair = bytes((c, c + 1))
-            else:
-                a = 128 - c
-                pair = bytes((c - 1, c))
-            widened = b.translate(SHIFT_UP_TABLE[a])
-            inflated = widened[: i - 1] + pair + widened[i:]
-            add(inflated[:i].translate(NEGATE_TABLE)[::-1] + inflated[i:])
-    return out
-
-
-def _grow_reversal(level: set[bytes]) -> set[bytes]:
-    """One recursion step: split two blocks (possibly the same one) and
-    reverse everything between the two split points."""
-    out: set[bytes] = set()
-    add = out.add
-    for b in level:
-        for i in range(len(b)):
-            c = b[i]
-            if c > 128:
-                once = b.translate(SHIFT_UP_TABLE[c - 128])
-                once = once[:i] + bytes((c, c + 1)) + once[i + 1 :]
-            else:
-                once = b.translate(SHIFT_UP_TABLE[128 - c])
-                once = once[:i] + bytes((c - 1, c)) + once[i + 1 :]
-            # Block j >= i of b sits at j + 1 in `once`; for j == i that is
-            # the second half of the block just split, so splitting it again
-            # gives a block of three.
-            for j in range(i + 1, len(once)):
-                d = once[j]
-                if d > 128:
-                    twice = once.translate(SHIFT_UP_TABLE[d - 128])
-                    twice = twice[:j] + bytes((d, d + 1)) + twice[j + 1 :]
-                else:
-                    twice = once.translate(SHIFT_UP_TABLE[128 - d])
-                    twice = twice[:j] + bytes((d - 1, d)) + twice[j + 1 :]
-                add(twice[: i + 1] + twice[i + 1 : j + 1].translate(NEGATE_TABLE)[::-1] + twice[j + 1 :])
+        if family is Family.PANCAKE:
+            starts = [(b, 0)]
+        else:
+            starts = [(split_packed(b, i), i + 1) for i in range(len(b))]
+        # For reversals, j == s is the second half of the block split at
+        # the left cut, so splitting it again gives a block of three.
+        for once, s in starts:
+            for j in range(s, len(once)):
+                twice = split_packed(once, j)
+                add(twice[:s] + twice[s : j + 1].translate(NEGATE_TABLE)[::-1] + twice[j + 1 :])
     return out
 
 
@@ -121,7 +99,6 @@ def generator_set(family: Family, k: int, cache_dir: Path | None = None) -> set[
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    grow = _grow_pancake if family is Family.PANCAKE else _grow_reversal
     level, grown = {pack_perm((1,))}, 0
     if cache_dir is not None:
         for j in range(k, 0, -1):
@@ -130,7 +107,7 @@ def generator_set(family: Family, k: int, cache_dir: Path | None = None) -> set[
                 level, grown = cache.read_packed(path), j
                 break
     for j in range(grown + 1, k + 1):
-        level = grow(level)
+        level = _grow(level, family)
         if cache_dir is not None:
             cache.write_packed(cache.pi_path(cache_dir, family, j), level)
     return level

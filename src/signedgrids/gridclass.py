@@ -23,6 +23,7 @@ from .perm import (
     SignedPerm,
     compactify,
     format_perm,
+    is_compact_packed,
     pack_perm,
     parse_perm,
     unpack_perm,
@@ -44,19 +45,13 @@ class LengthHistogram:
         return sum(self.counts.values()) + (1 if self.has_epsilon else 0)
 
 
-def _is_compact_packed(b: bytes) -> bool:
-    return all(b[i + 1] - b[i] != 1 for i in range(len(b) - 1))
-
-
 def _expand_level(level: set[bytes], length: int) -> set[bytes]:
     """All single deletions of the given packed permutations."""
     out: set[bytes] = set()
     add = out.add
     for b in level:
         for i in range(length):
-            c = b[i]
-            a = c - 128 if c > 128 else 128 - c
-            add((b[:i] + b[i + 1 :]).translate(DELETE_TABLE[a]))
+            add((b[:i] + b[i + 1 :]).translate(DELETE_TABLE[b[i]]))
     return out
 
 
@@ -74,7 +69,7 @@ def _closure(seeds: dict[int, set[bytes]], collect: set[bytes] | None) -> dict[i
         level: set[bytes] = set()
         for m in range(max(seeds), 0, -1):
             level |= seeds.pop(m, set())
-            compact = [b for b in level if _is_compact_packed(b)]
+            compact = [b for b in level if is_compact_packed(b)]
             if compact:
                 counts[m] = len(compact)
                 if collect is not None:

@@ -259,31 +259,53 @@ def format_perm(pi: SignedPerm) -> str:
 # ---------------------------------------------------------------------------
 # Packed byte encoding.
 #
-# Internal fixed-width encoding used by the set-closure and search engines:
-# entry x maps to the byte x + 128, so permutations of length up to 127
-# become bytes objects.  Byte differences equal entry differences, which
-# keeps the compactness scan exact, and negation is the translate table
-# below.  Injective for every supported length.
+# Internal fixed-width encoding used by the growth and closure engines:
+# entry x is stored as its code, the byte x + 128, so permutations of
+# length up to 127 become bytes objects.  This section is the only code
+# that knows the offset; other modules use these primitives, which all
+# take codes, never signs:
+#
+#   pack_perm / unpack_perm        tuple <-> bytes
+#   format_packed / parse_packed   bytes <-> one line of the text encoding
+#   NEGATE_TABLE                   b.translate(NEGATE_TABLE) negates every entry
+#   DELETE_TABLE[c]                renumbers after removing the entry with code c
+#   split_packed(b, i)             inflates entry i into its monotone pair
+#   is_compact_packed(b)           is_compact on the packed form
 
 _MAX_PACKED_LEN = 127
 
+_CODES = bytes(range(256))
 NEGATE_TABLE = bytes((256 - c) % 256 for c in range(256))
 
-# DELETE_TABLE[a] renumbers after removing an entry of absolute value a:
-# values above a (either sign) move one step toward zero.
-DELETE_TABLE = [
-    bytes(c - 1 if c > 128 + a else (c + 1 if c < 128 - a else c) for c in range(256))
-    for a in range(_MAX_PACKED_LEN + 1)
-]
 
-# SHIFT_UP_TABLE[a] makes room for one extra value above a: values with
-# absolute value strictly greater than a move one step away from zero.
-# The two extreme codes wrap, but they encode |x| = 127 and inflating at
-# that length is already rejected by the packed-length limit.
-SHIFT_UP_TABLE = [
-    bytes((c + 1 if c > 128 + a else (c - 1 if c < 128 - a else c)) & 0xFF for c in range(256))
-    for a in range(_MAX_PACKED_LEN)
-]
+def _renumber_tables(step: int) -> list[bytes]:
+    """Tables indexed by code c: entries whose absolute value is above
+    that of c (either sign) move `step` away from zero, modulo 256."""
+    plus, minus = _CODES[step:] + _CODES[:step], _CODES[-step:] + _CODES[:-step]
+    return [
+        minus[: 128 - a] + _CODES[128 - a : 129 + a] + plus[129 + a :]
+        for a in (abs(c - 128) for c in range(256))
+    ]
+
+
+# DELETE_TABLE[c] renumbers after removing an entry with code c;
+# _SHIFT_UP_TABLE[c] makes room for one more value above it, and
+# _SPLIT_PAIR[c] is the monotone pair that replaces it.  The last two are
+# wrong at the extreme codes, which encode |x| = 127: inflating at that
+# length is already rejected by the packed-length limit.
+DELETE_TABLE = _renumber_tables(-1)
+_SHIFT_UP_TABLE = _renumber_tables(1)
+_SPLIT_PAIR = [_CODES[c : c + 2] if c > 128 else _CODES[c - 1 : c + 1] for c in range(256)]
+
+# The text of the entry each code encodes, and back; the code of 0 is no entry.
+_ENTRY_TEXT = [str(c - 128) for c in range(256)]
+_ENTRY_CODE = {text: c for c, text in enumerate(_ENTRY_TEXT) if c != 128}
+# Packed bytes are a signed permutation iff mapped through _ABS_TABLE
+# (|x| + 128) and sorted they run 129, 130, ...
+_ABS_TABLE = bytes(128 + abs(c - 128) if c else 0 for c in range(256))
+
+# Byte differences equal entry differences, so the tuple scan is exact.
+is_compact_packed = is_compact
 
 
 def pack_perm(pi: SignedPerm) -> bytes:
@@ -296,3 +318,35 @@ def pack_perm(pi: SignedPerm) -> bytes:
 def unpack_perm(packed: bytes) -> SignedPerm:
     """Decode the packed byte encoding back to a tuple."""
     return tuple(c - 128 for c in packed)
+
+
+def split_packed(b: bytes, i: int) -> bytes:
+    """
+    Inflate the entry at 0-based position i into a monotone pair of its
+    sign: the packed form of `inflate` with block i of size 2.
+
+    >>> unpack_perm(split_packed(pack_perm((-1, 2)), 0))
+    (-2, -1, 3)
+    """
+    widened = b.translate(_SHIFT_UP_TABLE[b[i]])
+    return widened[:i] + _SPLIT_PAIR[b[i]] + widened[i + 1 :]
+
+
+def format_packed(b: bytes) -> str:
+    """The canonical text encoding of a packed permutation."""
+    return " ".join([_ENTRY_TEXT[c] for c in b])
+
+
+def parse_packed(text: str) -> bytes:
+    """
+    Parse the canonical text encoding straight to packed bytes.  Stricter
+    than `parse_perm`: the text must be exactly what `format_packed`
+    writes, so ``+1``, ``01`` and doubled spaces are rejected.
+    """
+    try:
+        b = bytes([_ENTRY_CODE[f] for f in text.split(" ")] if text else [])
+    except KeyError:
+        raise ValueError(f"not a list of nonzero entries in canonical form: {text!r}") from None
+    if bytes(sorted(b.translate(_ABS_TABLE))) != _CODES[129 : 129 + len(b)]:
+        raise ValueError(f"absolute values are not exactly 1..{len(b)}: {text!r}")
+    return b

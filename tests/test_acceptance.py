@@ -2,15 +2,13 @@
 Acceptance suite: one test per exit criterion, each printing a PASS line
 with its measured runtime (visible under ``pytest -s`` or in the captured
 output).  The two k >= 9 burnt-pancake computations take a few minutes
-and are marked ``stretch``; skip them with ``-m "not stretch"`` or by
-setting SIGNEDGRIDS_SKIP_STRETCH=1.
+and are marked ``stretch``; deselect them with ``-m "not stretch"``.
 
 Tests run in definition order, so the stretch polynomials computed for
 criterion 2 are already memoized when the full oracle cross-validation of
 criterion 5 needs them.
 """
 import itertools
-import os
 import random
 import time
 from math import factorial
@@ -26,12 +24,6 @@ from signedgrids.poly import format_coeff_array, gregory_newton
 
 import oracles
 import tables
-
-stretch = pytest.mark.skipif(
-    os.environ.get("SIGNEDGRIDS_SKIP_STRETCH") == "1",
-    reason="stretch computation disabled via SIGNEDGRIDS_SKIP_STRETCH",
-)
-
 
 def report(criterion: str, elapsed: float, detail: str = "") -> None:
     tail = f" [{detail}]" if detail else ""
@@ -67,7 +59,6 @@ def test_criterion_2_pancake_table_k8():
     report("2 (pancake table k=8)", elapsed)
 
 
-@stretch
 @pytest.mark.stretch
 @pytest.mark.parametrize("k", [9, 10])
 def test_criterion_2_pancake_tables_stretch(k):
@@ -127,7 +118,6 @@ def test_criterion_5_oracle_cross_validation_default():
     report("5 (oracle cross-validation, pancake k<=8 + reversal k<=5, n<=6)", elapsed)
 
 
-@stretch
 @pytest.mark.stretch
 def test_criterion_5_oracle_cross_validation_full():
     t0 = time.perf_counter()

@@ -5,7 +5,7 @@ import pytest
 
 from signedgrids import cache
 from signedgrids.cli import main
-from signedgrids.distance import Family
+from signedgrids.distance import Family, generator_set
 from signedgrids.gridclass import LengthHistogram
 from signedgrids.perm import pack_perm
 
@@ -47,6 +47,26 @@ class TestHistogramFiles:
         path = tmp_path / "h.hist"
         path.write_text(cache.HIST_HEADER + "\n1 2\n")
         with pytest.raises(ValueError, match="epsilon"):
+            cache.read_histogram(path)
+
+    @pytest.mark.parametrize("line", ["epsilon x", "epsilon 2", "epsilon", "epsilon 1 1", "epsilon 01"])
+    def test_malformed_epsilon_rejected(self, tmp_path, line):
+        path = tmp_path / "h.hist"
+        path.write_text(f"{cache.HIST_HEADER}\n{line}\n1 2\n")
+        with pytest.raises(ValueError, match=r"h\.hist: line 1 after the header: .*epsilon"):
+            cache.read_histogram(path)
+
+    @pytest.mark.parametrize("line", ["1", "1 2 3", "1 x", "0 2", "1 0", "-1 2", "1 -2", "+1 2", "01 2", "", "1  2"])
+    def test_malformed_count_rejected(self, tmp_path, line):
+        path = tmp_path / "h.hist"
+        path.write_text(f"{cache.HIST_HEADER}\nepsilon 1\n{line}\n2 1\n")
+        with pytest.raises(ValueError, match=r"h\.hist: line 2 after the header: "):
+            cache.read_histogram(path)
+
+    def test_repeated_length_rejected(self, tmp_path):
+        path = tmp_path / "h.hist"
+        path.write_text(f"{cache.HIST_HEADER}\nepsilon 1\n1 2\n2 1\n1 3\n")
+        with pytest.raises(ValueError, match=r"h\.hist: line 4 after the header: length 1 appears twice"):
             cache.read_histogram(path)
 
     def test_layout_paths(self, tmp_path):
@@ -109,9 +129,24 @@ class TestPackedFiles:
         cache.write_packed(packed, {pack_perm(p) for p in members})
         assert tuples.read_bytes() == packed.read_bytes()
 
-    @pytest.mark.parametrize("body", ["1 3\n", "1 1\n", "0\n", "1 -1\n", "x\n", "1\n\n2 1\n"])
+    @pytest.mark.parametrize("body", ["1 3\n", "1 1\n", "0\n", "1 -1\n", "x\n", "1\n\n2 1\n", "+1\n", "01\n"])
     def test_malformed_line_rejected(self, tmp_path, body):
         path = tmp_path / "bad.perms"
         path.write_text(cache.PERMS_HEADER + "\n1\n" + body)
         with pytest.raises(ValueError, match="line [23]"):
             cache.read_packed(path)
+
+
+# sha256 of `write_packed` output for Pi_k grown without a store; the
+# digests come from the per-family growth loops that `distance._grow` replaced.
+GROWN_DIGESTS = {
+    (Family.REVERSAL, 6): "fe93c168906cae208c4a7ffcd6e076bb4615a16c82d249d07a66842447869452",
+    (Family.PANCAKE, 9): "3388ed16666b69a83afa67be4486b265c17946a148a922253fcf8e57c7d52467",
+}
+
+
+@pytest.mark.parametrize("family,k", list(GROWN_DIGESTS), ids=lambda v: str(v))
+def test_grown_generator_sets_are_pinned(tmp_path, family, k):
+    path = tmp_path / "pi.perms"
+    cache.write_packed(path, generator_set(family, k))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GROWN_DIGESTS[family, k]

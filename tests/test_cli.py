@@ -7,7 +7,7 @@ from signedgrids import distance
 from signedgrids.cli import CACHE_DIR_ENV, main
 
 
-def _no_growth(level):
+def _no_growth(level, family):
     raise AssertionError("Pi_k growth was not expected here")
 
 
@@ -139,7 +139,7 @@ class TestCache:
 
     def test_warm_verbose_grows_nothing(self, capsys, tmp_path, monkeypatch):
         run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
-        monkeypatch.setattr(distance, "_grow_pancake", _no_growth)
+        monkeypatch.setattr(distance, "_grow", _no_growth)
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", "4")
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_4| = 24"

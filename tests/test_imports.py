@@ -1,4 +1,5 @@
-"""Module boundaries: no private cross-module imports, one owner of the store."""
+"""Module boundaries: no private cross-module imports, one owner of the store
+and one of the packed encoding."""
 import ast
 import re
 from pathlib import Path
@@ -46,7 +47,7 @@ def test_no_private_imports_across_modules(path):
 
 
 def test_detector_sees_both_forms():
-    assert private_uses("from .distance import _grow_pancake\n") == ["line 1: imports _grow_pancake"]
+    assert private_uses("from .distance import _grow\n") == ["line 1: imports _grow"]
     assert private_uses("from signedgrids import cache\ncache._read_lines\n") == [
         "line 2: uses cache._read_lines"
     ]
@@ -57,3 +58,9 @@ def test_detector_sees_both_forms():
 def test_store_layout_known_only_to_distance(path):
     if path.name not in ("distance.py", "cache.py"):
         assert re.findall(r"\b(?:pi|hist)_path\b", path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_packed_offset_known_only_to_perm(path):
+    if path.name != "perm.py":
+        assert re.findall(r"\b128\b", path.read_text()) == []

@@ -6,6 +6,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from signedgrids.perm import (
+    DELETE_TABLE,
+    NEGATE_TABLE,
     all_perms,
     block_reversal,
     check_perm,
@@ -14,11 +16,15 @@ from signedgrids.perm import (
     delete,
     format_perm,
     identity,
+    format_packed,
     inflate,
     is_compact,
+    is_compact_packed,
     pack_perm,
+    parse_packed,
     parse_perm,
     prefix_reversal,
+    split_packed,
     standardize,
     unpack_perm,
 )
@@ -315,3 +321,17 @@ class TestPackedEncoding:
                 b = pack_perm(p)
                 assert b not in seen
                 seen.add(b)
+
+    @given(signed_perms(max_len=8))
+    def test_primitives_match_tuple_operators(self, p):
+        b = pack_perm(p)
+        assert unpack_perm(b.translate(NEGATE_TABLE)) == tuple(-x for x in p)
+        assert is_compact_packed(b) == is_compact(p)
+        assert format_packed(b) == format_perm(p)
+        assert parse_packed(format_perm(p)) == b
+        with pytest.raises(ValueError):
+            parse_packed(format_perm(p) + " ")
+        for i in range(len(p)):
+            assert unpack_perm((b[:i] + b[i + 1 :]).translate(DELETE_TABLE[b[i]])) == delete(p, i + 1)
+            sizes = [2 if j == i else 1 for j in range(len(p))]
+            assert unpack_perm(split_packed(b, i)) == inflate(p, sizes)
