@@ -2,13 +2,12 @@
 """
 Recompute the distance-class polynomial tables and report measured sizes.
 
-Prints, for each family and k, the generator-set cardinality |Pi_k|, the
-number of compact representatives |S_k|, the wall-clock time, and the
-exact coefficient array.  The burnt-pancake run covers k <= 8 by default;
-pass --stretch for k = 9 and 10 (several minutes, a few GB of RAM).
-With --cache-dir the results are read from and written to that store;
-without one, Pi_k is grown twice per k (once to count it, once inside
-the pipeline).
+Prints, for each family and k, the generator-set cardinality |Pi_k| (the
+top entry of the length histogram), the number of compact representatives
+|S_k|, the wall-clock time, and the exact coefficient array.  The
+burnt-pancake run covers k <= 8 by default; pass --stretch for k = 9 and
+10 (several minutes, a few GB of RAM).  With --cache-dir the histograms
+and generator sets are read from and written to that store.
 
 Usage:
     python scripts/build_tables.py [--stretch] [--cache-dir DIR]
@@ -20,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from signedgrids.distance import Family, distance_histogram, generator_set  # noqa: E402
+from signedgrids.distance import Family, distance_histogram, generator_count  # noqa: E402
 from signedgrids.poly import format_coeff_array, from_histogram  # noqa: E402
 
 
@@ -28,14 +27,12 @@ def run_family(family: Family, k_max: int, cache_dir: Path | None) -> None:
     print(f"== {family.value} distance classes, k = 0..{k_max}")
     for k in range(k_max + 1):
         t0 = time.perf_counter()
-        generators = generator_set(family, k, cache_dir)
-        t_gen = time.perf_counter() - t0
         hist = distance_histogram(family, k, cache_dir)
         polynomial = from_histogram(hist.counts)
         elapsed = time.perf_counter() - t0
         print(
-            f"k={k:>2}  |Pi_k|={len(generators):>8}  |S_k|={hist.total():>9}  "
-            f"gen={t_gen:6.2f}s  total={elapsed:7.2f}s"
+            f"k={k:>2}  |Pi_k|={generator_count(family, k, cache_dir):>8}  "
+            f"|S_k|={hist.total():>9}  total={elapsed:7.2f}s"
         )
         print(f"      {format_coeff_array(polynomial)}")
 

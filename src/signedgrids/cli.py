@@ -21,7 +21,7 @@ from .distance import (
     ResourceLimitError,
     distance_histogram,
     distance_polynomial,
-    generator_set,
+    generator_count,
 )
 from .gridclass import LengthHistogram
 from .perm import compactify, format_perm, parse_perm
@@ -76,7 +76,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     if args.exact:
         p = p - distance_polynomial(family, k - 1, args.k_ceiling, args.cache_dir)
     if args.verbose:
-        print(f"# |Pi_{k}| = {len(generator_set(family, k, args.cache_dir))}")
+        print(f"# |Pi_{k}| = {generator_count(family, k, args.cache_dir)}")
         print(_hist_summary(distance_histogram(family, k, args.cache_dir)))
     _print_poly(p, args)
     return 0
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, ResourceLimitError, FileNotFoundError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

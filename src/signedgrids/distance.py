@@ -13,7 +13,10 @@ split.
 Prefix reversals (burnt pancake flips) give members of length k+1;
 block reversals give members of length 2k+1.  Member counts are measured,
 never assumed: `pancake_pi(k)` deduplicates at every level and callers can
-take `len()` of the result.
+take `len()` of the result.  Every member is compact and of the longest
+length in its class, so |Pi_k| is the top entry of the class's length
+histogram; `generator_count` reads it there, and computing a histogram
+checks it against the grown Pi_k.
 
 This module holds the whole pipeline, Pi_k -> closure -> histogram ->
 polynomial, and is the only one that reads or writes the on-disk store
@@ -143,6 +146,11 @@ def distance_histogram(
     """
     Length histogram of the compact representatives of the distance-<=k
     class: from memory, else from the store, else computed (and stored).
+
+    A computed histogram is checked against Pi_k before it is stored:
+    every member is compact and of the family's generator length, the
+    longest in the class, so the top length must be that length and its
+    count |Pi_k|.  AssertionError if not.
     """
     key = (family, k, None if cache_dir is None else Path(cache_dir))
     hist = _HIST_MEMO.get(key)
@@ -151,11 +159,28 @@ def distance_histogram(
         if path is not None and path.exists():
             hist = cache.read_histogram(path)
         else:
-            hist = gridclass.closure_histogram_packed(generator_set(family, k, cache_dir))
+            generators = [generator_set(family, k, cache_dir)]
+            size = len(generators[0])
+            # pop() leaves no name here bound to Pi_k, so the closure can
+            # free it once its levels are seeded.
+            hist = gridclass.closure_histogram_packed(generators.pop())
+            expected = (k + 1 if family is Family.PANCAKE else 2 * k + 1, size)
+            top = max(hist.counts.items())  # (longest length, its count)
+            if top != expected:
+                raise AssertionError(
+                    f"{family.value} k={k}: the closure's top (length, count) is {top}, "
+                    f"but Pi_{k} gives {expected}"
+                )
             if path is not None:
                 cache.write_histogram(path, hist)
         _HIST_MEMO[key] = hist
     return hist
+
+
+def generator_count(family: Family, k: int, cache_dir: Path | None = None) -> int:
+    """|Pi_k|, read as the top entry of the distance-<=k histogram."""
+    counts = distance_histogram(family, k, cache_dir).counts
+    return counts[max(counts)]
 
 
 def distance_polynomial(

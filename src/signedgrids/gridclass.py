@@ -103,7 +103,9 @@ def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:
 
 def closure_histogram_packed(packed: Iterable[bytes]) -> LengthHistogram:
     """As `closure_histogram`, taking already-packed permutations."""
-    return LengthHistogram(_closure(_seed_levels(packed), None), True)
+    seeds = _seed_levels(packed)
+    del packed  # the seeds are copies: a set passed by its only reference is freed here
+    return LengthHistogram(_closure(seeds, None), True)
 
 
 def length_histogram(members: Iterable[SignedPerm]) -> LengthHistogram:

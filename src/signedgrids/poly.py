@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -194,41 +194,26 @@ def format_coeff_array(p: Polynomial) -> str:
     return "[" + ", ".join(_frac_str(c) for c in p.coeffs) + "]"
 
 
-def _format_sum(
-    p: Polynomial, magnitude: Callable[[Fraction], str], power: Callable[[int], str]
-) -> str:
-    """Signed terms in ascending degree; `magnitude` renders |c|, `power` n^i."""
+def format_latex(p: Polynomial) -> str:
+    r"""LaTeX rendering in ascending degree, e.g. ``1 + \frac{1}{2} n^{2}``."""
     if not p:
         return "0"
     parts: list[str] = []
     for i, c in enumerate(p.coeffs):
         if c == 0:
             continue
-        mag = magnitude(abs(c))
+        mag = abs(c)
+        mag_text = str(mag.numerator) if mag.denominator == 1 else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
         if i == 0:
-            term = mag
+            term = mag_text
         else:
-            var = "n" if i == 1 else power(i)
-            term = var if mag == "1" else f"{mag} {var}"
+            var = "n" if i == 1 else f"n^{{{i}}}"
+            term = var if mag == 1 else f"{mag_text} {var}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
     return " ".join(parts)
-
-
-def format_text(p: Polynomial) -> str:
-    """Readable sum in ascending degree, e.g. ``1 + 1/2 n + 1/2 n^2``."""
-    return _format_sum(p, _frac_str, lambda i: f"n^{i}")
-
-
-def format_latex(p: Polynomial) -> str:
-    """LaTeX rendering in ascending degree."""
-    return _format_sum(
-        p,
-        lambda c: _frac_str(c) if c.denominator == 1 else rf"\frac{{{c.numerator}}}{{{c.denominator}}}",
-        lambda i: f"n^{{{i}}}",
-    )
 
 
 def to_json_dict(p: Polynomial) -> dict:
@@ -239,13 +224,3 @@ def to_json_dict(p: Polynomial) -> dict:
         "valid_for": "n>=1",
     }
 
-
-def format_poly(p: Polynomial, style: str) -> str:
-    """Render p in one of the styles ``coeff-array``, ``text``, ``latex``."""
-    if style == "coeff-array":
-        return format_coeff_array(p)
-    if style == "text":
-        return format_text(p)
-    if style == "latex":
-        return format_latex(p)
-    raise ValueError(f"unknown style {style!r}")

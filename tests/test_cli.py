@@ -114,6 +114,22 @@ class TestDistanceCommands:
         assert code == 0
         assert "# |Pi_3| = 6" in out
 
+    def test_verbose_without_store_grows_each_level_once(self, capsys, monkeypatch):
+        grown = []
+        grow = distance._grow
+
+        def counting(level, family):
+            grown.append(family)
+            return grow(level, family)
+
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.setattr(distance, "_grow", counting)
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
+        code, out, _ = run(capsys, "--verbose", "pancake", "--k", "5")
+        assert code == 0
+        assert out.splitlines()[0] == "# |Pi_5| = 120"
+        assert len(grown) == 5
+
 
 class TestCache:
     def test_warm_cache_identical_output(self, capsys, tmp_path):
@@ -139,7 +155,10 @@ class TestCache:
 
     def test_warm_verbose_grows_nothing(self, capsys, tmp_path, monkeypatch):
         run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
+        for path in (tmp_path / "pancake").glob("pi_*.perms"):
+            path.unlink()
         monkeypatch.setattr(distance, "_grow", _no_growth)
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", "4")
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_4| = 24"
@@ -151,6 +170,15 @@ class TestCache:
         code, _, err = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "2")
         assert code == 2
         assert "header" in err
+
+
+def test_filesystem_errors_are_usage_errors(capsys, tmp_path):
+    code, _, err = run(capsys, "enumerate", "--input", str(tmp_path))
+    assert (code, err[:6]) == (2, "error:")
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    code, _, err = run(capsys, "--cache-dir", str(blocker), "pancake", "--k", "2")
+    assert (code, err[:6]) == (2, "error:")
 
 
 class TestVerifyCommand:

@@ -1,20 +1,23 @@
 """Generator-set recursions, distance polynomials, sorting sequences."""
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from signedgrids import distance, gridclass
 from signedgrids.distance import (
     Family,
     ResourceLimitError,
     apply_move,
+    distance_histogram,
     distance_polynomial,
     pancake_pi,
     reversal_pi,
     sorting_sequence,
 )
-from signedgrids.perm import identity, inflate
+from signedgrids.perm import identity, inflate, is_compact, pack_perm
 from signedgrids.poly import format_coeff_array
 
 import oracles
@@ -35,7 +38,7 @@ class TestPancakePi:
     @pytest.mark.parametrize("k", [*range(0, 7), 9])
     def test_lengths_and_cardinality(self, k):
         members = pancake_pi(k)
-        assert all(len(p) == k + 1 for p in members)
+        assert all(len(p) == k + 1 and is_compact(p) for p in members)
         assert len(members) <= math.factorial(k)
         # measured: the k! bound is attained for every k checked so far
         assert len(members) == math.factorial(k)
@@ -58,7 +61,42 @@ class TestReversalPi:
         assert all(len(p) == 2 * k + 1 for p in reversal_pi(k))
 
     def test_measured_cardinalities(self):
-        assert [len(reversal_pi(k)) for k in range(7)] == [1, 1, 4, 35, 444, 7534, 155877]
+        sets = [reversal_pi(k) for k in range(7)]
+        assert [len(members) for members in sets] == [1, 1, 4, 35, 444, 7534, 155877]
+        assert all(is_compact(p) for members in sets for p in members)
+
+
+class TestGeneratorCheck:
+    @pytest.mark.parametrize("extra", [(1, 2), (2, -1, 3)], ids=["non-compact", "too-long"])
+    def test_extra_member_rejected_before_store(self, tmp_path, monkeypatch, extra):
+        grow = distance._grow
+
+        def grow_one_more(level, family):
+            return grow(level, family) | {pack_perm(extra)}
+
+        monkeypatch.setattr(distance, "_grow", grow_one_more)
+        with pytest.raises(AssertionError, match="Pi_1"):
+            distance_histogram(Family.PANCAKE, 1, tmp_path)
+        assert not (tmp_path / "pancake" / "S_1.hist").exists()
+
+    def test_generators_freed_before_closure(self, monkeypatch):
+        refs = []
+        grown = distance.generator_set
+        closure = gridclass._closure
+
+        def recording(family, k, cache_dir=None):
+            level = grown(family, k, cache_dir)
+            refs.append(weakref.ref(level))
+            return level
+
+        def checking(seeds, collect):
+            assert refs[0]() is None, "Pi_k is still referenced while the closure runs"
+            return closure(seeds, collect)
+
+        monkeypatch.setattr(distance, "generator_set", recording)
+        monkeypatch.setattr(gridclass, "_closure", checking)
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
+        assert distance_histogram(Family.REVERSAL, 2).counts[5] == 4
 
 
 class TestDistancePolynomial:

@@ -1,5 +1,5 @@
-"""Module boundaries: no private cross-module imports, one owner of the store
-and one of the packed encoding."""
+"""Module boundaries: no private cross-module imports, one owner of the store,
+of the generator sets and of the packed encoding."""
 import ast
 import re
 from pathlib import Path
@@ -58,6 +58,14 @@ def test_detector_sees_both_forms():
 def test_store_layout_known_only_to_distance(path):
     if path.name not in ("distance.py", "cache.py"):
         assert re.findall(r"\b(?:pi|hist)_path\b", path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_generator_set_known_only_to_distance(path):
+    # |Pi_k| is the top entry of the histogram (`generator_count`), so no
+    # other module needs to grow or read Pi_k itself
+    if path.name != "distance.py":
+        assert re.findall(r"\bgenerator_set\b", path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

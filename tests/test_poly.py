@@ -13,8 +13,6 @@ from signedgrids.poly import (
     choose_poly,
     format_coeff_array,
     format_latex,
-    format_poly,
-    format_text,
     from_histogram,
     gregory_newton,
     to_json_dict,
@@ -169,13 +167,10 @@ class TestFormatting:
     def test_coeff_array_integer_coeffs(self):
         assert format_coeff_array(P(1, 0, 1)) == "[1, 0, 1]"
 
-    def test_text(self):
-        assert format_text(P(1, Fraction(1, 2), Fraction(1, 2))) == "1 + 1/2 n + 1/2 n^2"
-        assert format_text(P(0, -1, 1)) == "-n + n^2"
-        assert format_text(ZERO) == "0"
-
     def test_latex(self):
         assert format_latex(P(1, 0, Fraction(1, 2))) == r"1 + \frac{1}{2} n^{2}"
+        assert format_latex(P(1, 1)) == "1 + n"
+        assert format_latex(P(0, -1, 1)) == "-n + n^{2}"
         assert format_latex(ZERO) == "0"
 
     def test_json_schema(self):
@@ -185,11 +180,3 @@ class TestFormatting:
             "coeffs": ["1", "1/2", "1/2"],
             "valid_for": "n>=1",
         }
-
-    def test_style_dispatch(self):
-        p = P(1, 1)
-        assert format_poly(p, "coeff-array") == "[1, 1]"
-        assert format_poly(p, "text") == "1 + n"
-        assert format_poly(p, "latex") == "1 + n"
-        with pytest.raises(ValueError):
-            format_poly(p, "roman-numerals")
