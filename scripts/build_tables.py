@@ -7,7 +7,8 @@ top entry of the length histogram), the number of compact representatives
 |S_k|, the wall-clock time, and the exact coefficient array.  The
 burnt-pancake run covers k <= 8 by default; pass --stretch for k = 9 and
 10 (several minutes, a few GB of RAM).  With --cache-dir the histograms
-and generator sets are read from and written to that store.
+are read from that store when present; each one computed is written to
+it, with its generator set Pi_k as an export that is never read back.
 
 Usage:
     python scripts/build_tables.py [--stretch] [--cache-dir DIR]

@@ -3,10 +3,13 @@ On-disk cache for the distance-class pipeline.
 
 Layout under the cache directory:
 
-    {family}/pi_{k}.perms   generator set Pi_k, PermSet text format
+    {family}/pi_{k}.perms   generator set Pi_k, PermSet text format; an
+                            export, never read back by the pipeline
     {family}/S_{k}.hist     length histogram of the compact representatives
 
 Every cache file starts with a header line carrying the format version.
+Files are written to a temporary name in the same directory and renamed
+into place, so a reader sees the old file or the new one, never a part.
 A file with an unexpected header, or with any line the writer would not
 have written, is rejected, naming the file and the line, rather than
 silently misread.  Warm-cache runs must produce byte-identical command
@@ -14,6 +17,7 @@ output, so everything written here is sorted.
 """
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -46,12 +50,22 @@ def _read_lines(path: Path, header: str) -> list[str]:
     return lines[1:]
 
 
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_packed(path: Path, packed: set[bytes]) -> None:
     """Write packed permutations in the PermSet text format, sorted by
     (entry count, text) as `gridclass.permset_to_lines` sorts."""
     lines = sorted((len(b), format_packed(b)) for b in packed)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([PERMS_HEADER] + [text for _, text in lines]) + "\n")
+    _write(path, "\n".join([PERMS_HEADER] + [text for _, text in lines]) + "\n")
 
 
 def read_packed(path: Path) -> set[bytes]:
@@ -77,10 +91,9 @@ def read_permset(path: Path) -> PermSet:
 
 
 def write_histogram(path: Path, hist: LengthHistogram) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [HIST_HEADER, f"epsilon {1 if hist.has_epsilon else 0}"]
     lines.extend(f"{m} {hist.counts[m]}" for m in sorted(hist.counts))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_histogram(path: Path) -> LengthHistogram:

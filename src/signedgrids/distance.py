@@ -15,13 +15,15 @@ block reversals give members of length 2k+1.  Member counts are measured,
 never assumed: `pancake_pi(k)` deduplicates at every level and callers can
 take `len()` of the result.  Every member is compact and of the longest
 length in its class, so |Pi_k| is the top entry of the class's length
-histogram; `generator_count` reads it there, and computing a histogram
-checks it against the grown Pi_k.
+histogram; `generator_count` reads it there, and every histogram, computed
+or read from the store, is checked against that longest length.
 
 This module holds the whole pipeline, Pi_k -> closure -> histogram ->
-polynomial, and is the only one that reads or writes the on-disk store
-(`cache`).  Growth works on the packed byte encoding through the
-primitives of `perm` and never decodes it itself.
+polynomial, and `distance_histogram` is the only function that reads or
+writes the on-disk store (`cache`).  Pi_k is always grown from Pi_0: the
+store's `pi_k.perms` is an export, never read back.  Growth works on the
+packed byte encoding through the primitives of `perm` and never decodes
+it itself.
 """
 from __future__ import annotations
 
@@ -95,24 +97,13 @@ def _grow(level: set[bytes], family: Family) -> set[bytes]:
     return out
 
 
-def generator_set(family: Family, k: int, cache_dir: Path | None = None) -> set[bytes]:
-    """
-    Pi_k in the packed encoding.  With a store, growth resumes from the
-    highest cached level and every new level is written to it.
-    """
+def generator_set(family: Family, k: int) -> set[bytes]:
+    """Pi_k in the packed encoding, grown from Pi_0; no file is read or written."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    level, grown = {pack_perm((1,))}, 0
-    if cache_dir is not None:
-        for j in range(k, 0, -1):
-            path = cache.pi_path(cache_dir, family, j)
-            if path.exists():
-                level, grown = cache.read_packed(path), j
-                break
-    for j in range(grown + 1, k + 1):
+    level = {pack_perm((1,))}
+    for _ in range(k):
         level = _grow(level, family)
-        if cache_dir is not None:
-            cache.write_packed(cache.pi_path(cache_dir, family, j), level)
     return level
 
 
@@ -146,34 +137,41 @@ def distance_histogram(
     """
     Length histogram of the compact representatives of the distance-<=k
     class: from memory, else from the store, else computed (and stored).
+    Computing grows Pi_k and, with a store, exports it as `pi_k.perms`
+    (k >= 1), a file the program never reads back.
 
-    A computed histogram is checked against Pi_k before it is stored:
-    every member is compact and of the family's generator length, the
-    longest in the class, so the top length must be that length and its
-    count |Pi_k|.  AssertionError if not.
+    Every member of Pi_k is compact and of the family's generator length,
+    the longest in the class, so the top length must be that length and,
+    for a computed histogram, its count |Pi_k|.  A stored histogram that
+    fails raises ValueError naming the file; a computed one raises
+    AssertionError before it is stored.
     """
     key = (family, k, None if cache_dir is None else Path(cache_dir))
-    hist = _HIST_MEMO.get(key)
-    if hist is None:
-        path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
-        if path is not None and path.exists():
-            hist = cache.read_histogram(path)
-        else:
-            generators = [generator_set(family, k, cache_dir)]
-            size = len(generators[0])
-            # pop() leaves no name here bound to Pi_k, so the closure can
-            # free it once its levels are seeded.
-            hist = gridclass.closure_histogram_packed(generators.pop())
-            expected = (k + 1 if family is Family.PANCAKE else 2 * k + 1, size)
-            top = max(hist.counts.items())  # (longest length, its count)
-            if top != expected:
-                raise AssertionError(
-                    f"{family.value} k={k}: the closure's top (length, count) is {top}, "
-                    f"but Pi_{k} gives {expected}"
-                )
-            if path is not None:
-                cache.write_histogram(path, hist)
-        _HIST_MEMO[key] = hist
+    if key in _HIST_MEMO:
+        return _HIST_MEMO[key]
+    path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
+    if path is not None and path.exists():
+        hist, size = cache.read_histogram(path), None
+    else:
+        generators = [generator_set(family, k)]
+        size = len(generators[0])
+        if path is not None and k >= 1:
+            cache.write_packed(cache.pi_path(cache_dir, family, k), generators[0])
+        # pop() leaves no name here bound to Pi_k, so the closure can free
+        # it once its levels are seeded.
+        hist = gridclass.closure_histogram_packed(generators.pop())
+    # A stored histogram carries no |Pi_k| of its own, so only its top
+    # length is checked.
+    top = max(hist.counts.items(), default=(0, 0))  # (longest length, its count)
+    expected = (k + 1 if family is Family.PANCAKE else 2 * k + 1, top[1] if size is None else size)
+    if top != expected:
+        message = f"{family.value} k={k}: the top (length, count) is {top}, but Pi_{k} gives {expected}"
+        if size is None:
+            raise ValueError(f"{path}: {message}; clear the store")
+        raise AssertionError(message)
+    if size is not None and path is not None:
+        cache.write_histogram(path, hist)
+    _HIST_MEMO[key] = hist
     return hist
 
 

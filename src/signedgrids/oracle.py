@@ -48,7 +48,7 @@ def _neighbors_reversal(state: bytes, n: int) -> list[bytes]:
     return out
 
 
-def _expand_frontier(frontier: list[bytes], family: Family, n: int) -> set[bytes]:
+def _expand_frontier(frontier: set[bytes], family: Family, n: int) -> set[bytes]:
     gen = _neighbors_pancake if family is Family.PANCAKE else _neighbors_reversal
     out: set[bytes] = set()
     for state in frontier:
@@ -74,18 +74,19 @@ def bfs_histogram(n: int, family: Family, n_ceiling: int = DEFAULT_N_CEILING) ->
     states); raise it explicitly to go to n = 8 and beyond.
     """
     check_n(n, n_ceiling)
-    start = pack_perm(identity(n))
-    visited: set[bytes] = {start}
-    frontier: list[bytes] = [start]
+    # Every move is an involution, so the neighbours of layer d lie in
+    # layers d-1, d and d+1: the last two layers are all the search keeps.
+    previous: set[bytes] = set()
+    layer = {pack_perm(identity(n))}
     counts = [1]
-    while frontier:
-        produced = _expand_frontier(frontier, family, n)
-        produced -= visited
+    while True:
+        produced = _expand_frontier(layer, family, n)
+        produced -= layer
+        produced -= previous
         if not produced:
             break
-        visited |= produced
         counts.append(len(produced))
-        frontier = list(produced)
+        previous, layer = layer, produced
     total = 2**n * factorial(n)
     if sum(counts) != total:
         raise AssertionError(

@@ -114,6 +114,29 @@ def test_cold_written_bytes_are_pinned(tmp_path, capsys):
     assert written == COLD_DIGESTS
 
 
+@pytest.mark.parametrize(
+    "writer,old,new",
+    [
+        (cache.write_histogram, LengthHistogram({1: 2}, True), LengthHistogram({1: 2, 2: 2}, True)),
+        (cache.write_packed, {pack_perm((1, -2))}, {pack_perm((1, -2)), pack_perm((-2, 1))}),
+    ],
+    ids=["histogram", "packed"],
+)
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, writer, old, new):
+    path = tmp_path / "pancake" / "f"
+    writer(path, old)
+    before = path.read_bytes()
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.os, "replace", failing)
+    with pytest.raises(OSError, match="disk full"):
+        writer(path, new)
+    assert path.read_bytes() == before
+    assert [f.name for f in path.parent.iterdir()] == ["f"]
+
+
 class TestPackedFiles:
     def test_round_trip_matches_tuple_reader(self, tmp_path):
         members = frozenset({(1, -2), (-1,), (2, -1, 3), (-3, 1, -2)})

@@ -141,11 +141,31 @@ class TestCache:
         assert (code1, out1) == (code2, out2)
         assert out1 == "[1, -1/2, 3, -5/2, 1]\n"
 
-    def test_cache_resumes_from_lower_level(self, capsys, tmp_path):
-        run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "3")
-        code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
+    def test_damaged_generator_file_is_never_read(self, capsys, tmp_path, monkeypatch):
+        run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
+        pi_4 = tmp_path / "pancake" / "pi_4.perms"
+        lines = pi_4.read_text().splitlines(keepends=True)
+        pi_4.write_text("".join(lines[:5] + lines[8:]))
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
+        code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", "5")
         assert code == 0
-        assert out == "[1, -1/2, 3, -5/2, 1]\n"
+        assert out.splitlines()[0] == "# |Pi_5| = 120"
+        assert out.splitlines()[-1] == "[1, 1/2, -25/6, 17/2, -29/6, 1]"
+
+    def test_cold_run_writes_only_its_own_level(self, capsys, tmp_path):
+        run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "5")
+        assert sorted(f.name for f in (tmp_path / "pancake").iterdir()) == ["S_5.hist", "pi_5.perms"]
+
+    @pytest.mark.parametrize("family,k", [("pancake", 4), ("reversal", 3)])
+    def test_histogram_missing_its_last_line_rejected(self, capsys, tmp_path, monkeypatch, family, k):
+        run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k))
+        target = tmp_path / family / f"S_{k}.hist"
+        lines = target.read_text().splitlines(keepends=True)
+        target.write_text("".join(lines[:-1]))
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k))
+        assert (code, out) == (2, "")
+        assert f"S_{k}.hist" in err
 
     def test_env_var_sets_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))

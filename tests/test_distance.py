@@ -84,8 +84,8 @@ class TestGeneratorCheck:
         grown = distance.generator_set
         closure = gridclass._closure
 
-        def recording(family, k, cache_dir=None):
-            level = grown(family, k, cache_dir)
+        def recording(family, k):
+            level = grown(family, k)
             refs.append(weakref.ref(level))
             return level
 

@@ -1,5 +1,6 @@
 """Module boundaries: no private cross-module imports, one owner of the store,
-of the generator sets and of the packed encoding."""
+of the generator sets and of the packed encoding, and no reader of `.perms`
+files outside `cache`."""
 import ast
 import re
 from pathlib import Path
@@ -66,6 +67,13 @@ def test_generator_set_known_only_to_distance(path):
     # other module needs to grow or read Pi_k itself
     if path.name != "distance.py":
         assert re.findall(r"\bgenerator_set\b", path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_permset_files_read_only_by_cache(path):
+    # Pi_k is always grown; `pi_k.perms` is an export the program never reads
+    if path.name != "cache.py":
+        assert re.findall(r"\bread_(?:packed|permset)\b", path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
