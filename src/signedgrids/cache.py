@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .gridclass import LengthHistogram, PermSet
 from .perm import format_packed, pack_perm, parse_packed, unpack_perm
@@ -50,22 +50,28 @@ def _read_lines(path: Path, header: str) -> list[str]:
     return lines[1:]
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, lines: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.writelines(line + "\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write_packed(path: Path, packed: set[bytes]) -> None:
-    """Write packed permutations in the PermSet text format, sorted by
-    (entry count, text) as `gridclass.permset_to_lines` sorts."""
-    lines = sorted((len(b), format_packed(b)) for b in packed)
-    _write(path, "\n".join([PERMS_HEADER] + [text for _, text in lines]) + "\n")
+def write_packed(path: Path, packed: Iterable[bytes]) -> None:
+    """Write distinct packed permutations in the PermSet text format, sorted
+    by (entry count, text) as `gridclass.permset_to_lines` sorts."""
+    by_length: dict[int, list[str]] = {}
+    for b in packed:
+        by_length.setdefault(len(b), []).append(format_packed(b))
+    lines = [PERMS_HEADER]
+    for m in sorted(by_length):
+        lines += sorted(by_length.pop(m))
+    _write(path, lines)
 
 
 def read_packed(path: Path) -> set[bytes]:
@@ -93,7 +99,7 @@ def read_permset(path: Path) -> PermSet:
 def write_histogram(path: Path, hist: LengthHistogram) -> None:
     lines = [HIST_HEADER, f"epsilon {1 if hist.has_epsilon else 0}"]
     lines.extend(f"{m} {hist.counts[m]}" for m in sorted(hist.counts))
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, lines)
 
 
 def read_histogram(path: Path) -> LengthHistogram:

@@ -19,6 +19,7 @@ from . import gridclass, oracle, poly
 from .distance import (
     Family,
     ResourceLimitError,
+    check_polynomial,
     distance_histogram,
     distance_polynomial,
     generator_count,
@@ -75,6 +76,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     p = distance_polynomial(family, k, args.k_ceiling, args.cache_dir)
     if args.exact:
         p = p - distance_polynomial(family, k - 1, args.k_ceiling, args.cache_dir)
+        check_polynomial(family, k, p)
     if args.verbose:
         print(f"# |Pi_{k}| = {generator_count(family, k, args.cache_dir)}")
         print(_hist_summary(distance_histogram(family, k, args.cache_dir)))

@@ -21,28 +21,24 @@ or read from the store, is checked against that longest length.
 This module holds the whole pipeline, Pi_k -> closure -> histogram ->
 polynomial, and `distance_histogram` is the only function that reads or
 writes the on-disk store (`cache`).  Pi_k is always grown from Pi_0: the
-store's `pi_k.perms` is an export, never read back.  Growth works on the
-packed byte encoding through the primitives of `perm` and never decodes
-it itself.
+store's `pi_k.perms` is an export, never read back.  Growth steps every
+member of Pi_{k-1} at once on an `engine` level (an int8 array, one row
+per permutation), so Pi_k is limited to `engine.MAX_LENGTH` (13) entries;
+numpy is loaded on the first growth step, not on import.  Every
+polynomial passes `check_polynomial` before it is returned.
 """
 from __future__ import annotations
 
 import enum
+from math import factorial
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import cache, gridclass, poly
-from .perm import (
-    NEGATE_TABLE,
-    SignedPerm,
-    block_reversal,
-    identity,
-    inflate,
-    pack_perm,
-    prefix_reversal,
-    split_packed,
-    unpack_perm,
-)
+from .perm import SignedPerm, block_reversal, identity, inflate, pack_rows, prefix_reversal
+
+if TYPE_CHECKING:  # numpy is loaded by `engine` on the first growth step
+    import numpy as np
 
 
 class Family(enum.Enum):
@@ -75,33 +71,37 @@ def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
         )
 
 
-def _grow(level: set[bytes], family: Family) -> set[bytes]:
+def _grow(level: np.ndarray, family: Family) -> np.ndarray:
     """
-    One recursion step: split a block at each of two cuts and reverse the
-    segment between them.  For reversals the left cut follows a split of
-    entry i; for pancakes it is pinned at position 0, with no first split.
+    One recursion step on an `engine` level: split a block at each of two
+    cuts and reverse the segment between them, for every row at once.  For
+    reversals the left cut follows a split of entry i; for pancakes it is
+    pinned at position 0, with no first split.
     """
-    out: set[bytes] = set()
-    add = out.add
-    for b in level:
-        if family is Family.PANCAKE:
-            starts = [(b, 0)]
-        else:
-            starts = [(split_packed(b, i), i + 1) for i in range(len(b))]
-        # For reversals, j == s is the second half of the block split at
-        # the left cut, so splitting it again gives a block of three.
-        for once, s in starts:
-            for j in range(s, len(once)):
-                twice = split_packed(once, j)
-                add(twice[:s] + twice[s : j + 1].translate(NEGATE_TABLE)[::-1] + twice[j + 1 :])
-    return out
+    from . import engine
+
+    if family is Family.PANCAKE:
+        starts = [(level, 0)]
+    else:
+        starts = [(engine.split_column(level, i), i + 1) for i in range(level.shape[1])]
+    grown = []
+    # For reversals, j == s is the second half of the block split at the
+    # left cut, so splitting it again gives a block of three.
+    for once, s in starts:
+        for j in range(s, once.shape[1]):
+            twice = engine.split_column(once, j)
+            twice[:, s : j + 1] = -twice[:, s : j + 1][:, ::-1]
+            grown.append(twice)
+    return engine.unique_rows(grown)
 
 
-def generator_set(family: Family, k: int) -> set[bytes]:
-    """Pi_k in the packed encoding, grown from Pi_0; no file is read or written."""
+def generator_set(family: Family, k: int) -> np.ndarray:
+    """Pi_k as an `engine` level, grown from Pi_0; no file is read or written."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    level = {pack_perm((1,))}
+    from . import engine
+
+    level = engine.rows([(1,)], 1)
     for _ in range(k):
         level = _grow(level, family)
     return level
@@ -113,7 +113,7 @@ def pancake_pi(k: int) -> gridclass.PermSet:
     Pi_{k+1} = { f_i(pi inflated by e_i + 1) : pi in Pi_k, 1 <= i <= len(pi) }.
     Every member has length k+1.
     """
-    return frozenset(unpack_perm(b) for b in generator_set(Family.PANCAKE, k))
+    return _tuples(generator_set(Family.PANCAKE, k))
 
 
 def reversal_pi(k: int) -> gridclass.PermSet:
@@ -123,7 +123,13 @@ def reversal_pi(k: int) -> gridclass.PermSet:
                  pi in Pi_k, 1 <= i <= j <= len(pi) }.
     Every member has length 2k+1.
     """
-    return frozenset(unpack_perm(b) for b in generator_set(Family.REVERSAL, k))
+    return _tuples(generator_set(Family.REVERSAL, k))
+
+
+def _tuples(level: np.ndarray) -> gridclass.PermSet:
+    from . import engine
+
+    return frozenset(engine.to_tuples(level))
 
 
 # In-process results, keyed by store as well: a hit must not skip the
@@ -156,10 +162,10 @@ def distance_histogram(
         generators = [generator_set(family, k)]
         size = len(generators[0])
         if path is not None and k >= 1:
-            cache.write_packed(cache.pi_path(cache_dir, family, k), generators[0])
+            cache.write_packed(cache.pi_path(cache_dir, family, k), pack_rows(generators[0]))
         # pop() leaves no name here bound to Pi_k, so the closure can free
-        # it once its levels are seeded.
-        hist = gridclass.closure_histogram_packed(generators.pop())
+        # it once it has expanded it.
+        hist = gridclass.closure_histogram_rows(generators.pop())
     # A stored histogram carries no |Pi_k| of its own, so only its top
     # length is checked.
     top = max(hist.counts.items(), default=(0, 0))  # (longest length, its count)
@@ -195,7 +201,27 @@ def distance_polynomial(
     reversal 5); pass `k_ceiling` to raise or lower the guard.
     """
     check_k(family, k, k_ceiling)
-    return poly.from_histogram(distance_histogram(family, k, cache_dir).counts)
+    p = poly.from_histogram(distance_histogram(family, k, cache_dir).counts)
+    check_polynomial(family, k, p)
+    return p
+
+
+def check_polynomial(family: Family, k: int, p: poly.Polynomial) -> None:
+    """
+    Raise ValueError, naming k and the check, unless p passes the cheap
+    invariants of a count of signed permutations by distance (at most k, or
+    exactly k): integer values at n = 1..deg+1, each within 0..2^n n!, and
+    for pancakes a leading coefficient of 1 (degree k, as in the tables).
+    """
+    for n in range(1, p.degree + 2):
+        value = p(n)
+        if value.denominator != 1:
+            raise ValueError(f"{family.value} k={k}: P({n}) = {value} is not an integer")
+        if not 0 <= value <= 2**n * factorial(n):
+            raise ValueError(f"{family.value} k={k}: P({n}) = {value} is outside 0..2^n n! = {2**n * factorial(n)}")
+    lead = p.coeffs[-1] if p else 0
+    if family is Family.PANCAKE and lead != 1:
+        raise ValueError(f"{family.value} k={k}: the leading coefficient of P is {lead}, not 1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,170 @@
+"""
+The array engine behind generator growth and the containment closure.
+
+A level is a 2-D `int8` numpy array with one row per signed permutation,
+its entries the signed values themselves, so every row has the same
+length m.  The operators act on all rows at once with int8 arithmetic:
+
+    rows(perms, m)        tuples of length m -> a level
+    to_tuples(level)      a level -> tuples that share one int object per value
+    delete_column(l, i)   `perm.delete` of entry i (0-based) from every row
+    split_column(l, i)    `perm.inflate` of entry i into a monotone pair
+    compact_mask(l)       `perm.is_compact` of every row
+    unique_rows(parts)    the distinct rows of same-length levels
+    expand(level)         the distinct single deletions of every row
+
+Rows are compared through mixed-radix `int64` keys: entry x of a row of
+length m is the digit x + m in base 2m + 1, first entry most significant.
+Key order is therefore the lexicographic order of the rows, and keys are
+exact up to MAX_LENGTH entries (27**13 < 2**63).  Distinct rows come from
+an in-place sort of the keys and a neighbour mask, then decoding the keys;
+`np.unique` took over ten times as long on ten million keys.
+
+numpy is imported by this module alone, and `distance` and `gridclass`
+import it only inside the functions that grow or close a set, so that
+`import signedgrids` and queries answered from the store never load it.
+"""
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .perm import SignedPerm
+
+# Levels come from `rows` or `split_column`, which both check this limit.
+MAX_LENGTH = 13
+
+# Rows per block when a level's single deletions are keyed, and when rows
+# become tuples: this bounds the temporaries whatever the level size.
+_BLOCK_ROWS = 1 << 20
+_TUPLE_BLOCK_ROWS = 1 << 14
+
+# One int object per entry value: tuples built from these share them, where
+# `tolist()` would allocate a new int for every entry below -5.
+_SHARED_INTS = np.array(range(-MAX_LENGTH, MAX_LENGTH + 1), dtype=object)
+
+
+def _check_length(m: int) -> None:
+    """Refuse rows longer than the engine's exact-key limit."""
+    if m > MAX_LENGTH:
+        raise ValueError(
+            f"permutations of length {m} exceed the array engine's limit of {MAX_LENGTH} entries"
+        )
+
+
+def rows(perms: Iterable[SignedPerm], m: int) -> np.ndarray:
+    """The level holding the given permutations, all of length m, in order."""
+    _check_length(m)
+    return np.array(list(perms), dtype=np.int8).reshape(-1, m)
+
+
+def to_tuples(level: np.ndarray) -> list[SignedPerm]:
+    """The rows of a level as tuples whose entries are shared int objects."""
+    out: list[SignedPerm] = []
+    for start in range(0, len(level), _TUPLE_BLOCK_ROWS):
+        block = level[start : start + _TUPLE_BLOCK_ROWS].astype(np.intp) + MAX_LENGTH
+        out.extend(map(tuple, _SHARED_INTS[block].tolist()))
+    return out
+
+
+def delete_column(level: np.ndarray, i: int) -> np.ndarray:
+    """Remove entry i (0-based) of every row and renumber the rest: entries
+    whose absolute value is above that of the removed one move one step
+    towards zero."""
+    a = np.abs(level[:, i : i + 1])
+    rest = np.delete(level, i, axis=1)
+    rest -= rest > a
+    rest += rest < -a
+    return rest
+
+
+def split_column(level: np.ndarray, i: int) -> np.ndarray:
+    """Inflate entry i (0-based) of every row into a monotone pair of its
+    sign: entries above it in absolute value move one step away from zero
+    to make room, and v becomes v, v+1 (positive) or v-1, v (negative)."""
+    n, m = level.shape
+    _check_length(m + 1)
+    v = level[:, i]
+    a = np.abs(level[:, i : i + 1])
+    widened = level + (level > a)
+    widened -= level < -a
+    out = np.empty((n, m + 1), dtype=np.int8)
+    out[:, :i] = widened[:, :i]
+    out[:, i] = v - (v < 0)
+    out[:, i + 1] = v + (v > 0)
+    out[:, i + 2 :] = widened[:, i + 1 :]
+    return out
+
+
+def compact_mask(level: np.ndarray) -> np.ndarray:
+    """For every row, whether no adjacent pair of entries differs by exactly 1."""
+    return ~(np.diff(level, axis=1) == 1).any(axis=1)
+
+
+def _keys(level: np.ndarray) -> np.ndarray:
+    """The mixed-radix key of every row."""
+    n, m = level.shape
+    base = 2 * m + 1
+    keys = np.zeros(n, dtype=np.int64)
+    for j in range(m):
+        keys *= base
+        keys += level[:, j]
+    # adding m to every digit at once
+    keys += m * (base**m - 1) // (base - 1)
+    return keys
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of sorted keys, in order."""
+    if len(keys) < 2:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _from_keys(keys: np.ndarray, m: int) -> np.ndarray:
+    """Decode keys into a level of length m, stored column by column;
+    `keys` is consumed."""
+    base = 2 * m + 1
+    columns = np.empty((m, len(keys)), dtype=np.int8)
+    digit = np.empty_like(keys)
+    for j in range(m - 1, -1, -1):
+        np.divmod(keys, base, out=(keys, digit))
+        np.subtract(digit, m, out=columns[j], casting="unsafe")
+    return columns.T
+
+
+def unique_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The distinct rows of levels of one length, in lexicographic order."""
+    keys = np.concatenate([_keys(p) for p in parts])
+    keys.sort()
+    return _from_keys(_distinct(keys), parts[0].shape[1])
+
+
+def expand(level: np.ndarray) -> np.ndarray:
+    """
+    The distinct single deletions of every row, in lexicographic order.
+    The deletions of each column are keyed, deduplicated and merged into
+    the result before the next column, and keyed in blocks of rows, so the
+    temporaries stay within a few times the size of the two levels.
+    """
+    n, m = level.shape
+    found = np.empty(0, dtype=np.int64)
+    for i in range(m):
+        keys = np.empty(n, dtype=np.int64)
+        for start in range(0, n, _BLOCK_ROWS):
+            block = level[start : start + _BLOCK_ROWS]
+            keys[start : start + len(block)] = _keys(delete_column(block, i))
+        keys.sort()
+        # Rebinding frees each array once it has been merged, so at most
+        # the level and two sets of keys are alive at once.
+        keys = _distinct(keys)
+        found = np.concatenate((found, keys))
+        del keys
+        # two sorted runs, which the stable sort (timsort) merges in one pass
+        found.sort(kind="stable")
+        found = _distinct(found)
+    return _from_keys(found, m - 1)

@@ -5,10 +5,12 @@ representative extraction, and the enumerating polynomial.
 The closure walks the union of downsets by repeated single-entry deletion.
 Because deletion drops the length by exactly one, the global visited set
 splits into per-length levels and each permutation is expanded exactly
-once: the engine holds only two adjacent levels at a time, which is what
-makes the large distance classes fit in memory.  Levels store the packed
-byte encoding from `perm`; deletion plus restandardization is a slice and
-a byte-translate, both C-speed.
+once: the closure holds only two adjacent levels at a time, which is what
+makes the large distance classes fit in memory.  Each level is an `int8`
+array of the `engine` module, one row per permutation, so the deletions,
+their deduplication and the compactness scan run on whole levels in
+numpy; permutations are limited to `engine.MAX_LENGTH` (13) entries.
+numpy is loaded on the first closure, not on import.
 
 Non-compact permutations are still traversed (their sub-permutations may
 be compact) but only compact ones are counted or emitted.
@@ -16,19 +18,13 @@ be compact) but only compact ones are counted or emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .perm import (
-    DELETE_TABLE,
-    SignedPerm,
-    compactify,
-    format_perm,
-    is_compact_packed,
-    pack_perm,
-    parse_perm,
-    unpack_perm,
-)
+from .perm import SignedPerm, compactify, format_perm, parse_perm
 from .poly import Polynomial, from_histogram
+
+if TYPE_CHECKING:  # numpy is loaded by `engine` on the first closure
+    import numpy as np
 
 PermSet = frozenset[SignedPerm]
 
@@ -45,37 +41,34 @@ class LengthHistogram:
         return sum(self.counts.values()) + (1 if self.has_epsilon else 0)
 
 
-def _expand_level(level: set[bytes], length: int) -> set[bytes]:
-    """All single deletions of the given packed permutations."""
-    out: set[bytes] = set()
-    add = out.add
-    for b in level:
-        for i in range(length):
-            add((b[:i] + b[i + 1 :]).translate(DELETE_TABLE[b[i]]))
-    return out
+def _seed_levels(perms: Iterable[SignedPerm]) -> dict[int, np.ndarray]:
+    from . import engine
+
+    by_length: dict[int, list[SignedPerm]] = {}
+    for p in perms:
+        if p:
+            by_length.setdefault(len(p), []).append(p)
+    return {m: engine.unique_rows([engine.rows(ps, m)]) for m, ps in by_length.items()}
 
 
-def _seed_levels(packed: Iterable[bytes]) -> dict[int, set[bytes]]:
-    seeds: dict[int, set[bytes]] = {}
-    for b in packed:
-        if b:
-            seeds.setdefault(len(b), set()).add(b)
-    return seeds
+def _closure(seeds: dict[int, np.ndarray], collect: list[SignedPerm] | None) -> dict[int, int]:
+    """Walk the levels of `seeds` (length -> level) down to length 1 and
+    count the compact rows of each; `seeds` is emptied as it is walked."""
+    from . import engine
 
-
-def _closure(seeds: dict[int, set[bytes]], collect: set[bytes] | None) -> dict[int, int]:
     counts: dict[int, int] = {}
-    if seeds:
-        level: set[bytes] = set()
-        for m in range(max(seeds), 0, -1):
-            level |= seeds.pop(m, set())
-            compact = [b for b in level if is_compact_packed(b)]
-            if compact:
-                counts[m] = len(compact)
-                if collect is not None:
-                    collect.update(compact)
-            if m > 1:
-                level = _expand_level(level, m)
+    level = None
+    for m in range(max(seeds, default=0), 0, -1):
+        if m in seeds:
+            level = seeds.pop(m) if level is None else engine.unique_rows([level, seeds.pop(m)])
+        compact = engine.compact_mask(level)
+        count = int(compact.sum())
+        if count:
+            counts[m] = count
+            if collect is not None:
+                collect.extend(engine.to_tuples(level[compact]))
+        if m > 1:
+            level = engine.expand(level)
     return counts
 
 
@@ -86,10 +79,8 @@ def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
     with the empty permutation.  Grid(S) = Grid(perms) and the grid class
     decomposes as the disjoint union of the fillings of the members of S.
     """
-    packed: set[bytes] = set()
-    _closure(_seed_levels(pack_perm(p) for p in perms), packed)
-    members = {unpack_perm(b) for b in packed}
-    members.add(())  # the empty permutation is in every downset
+    members: list[SignedPerm] = [()]  # the empty permutation is in every downset
+    _closure(_seed_levels(perms), members)
     return frozenset(members)
 
 
@@ -98,13 +89,17 @@ def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:
     Length histogram of `complete_and_compact(perms)` without materializing
     the set; this is the memory-friendly path for large distance classes.
     """
-    return closure_histogram_packed(pack_perm(p) for p in perms)
+    return LengthHistogram(_closure(_seed_levels(perms), None), True)
 
 
-def closure_histogram_packed(packed: Iterable[bytes]) -> LengthHistogram:
-    """As `closure_histogram`, taking already-packed permutations."""
-    seeds = _seed_levels(packed)
-    del packed  # the seeds are copies: a set passed by its only reference is freed here
+def closure_histogram_rows(level: np.ndarray) -> LengthHistogram:
+    """
+    As `closure_histogram`, taking the distinct permutations of one length
+    as an `engine` level.  A level passed by its only reference is freed
+    as soon as the closure has expanded it.
+    """
+    seeds = {level.shape[1]: level}
+    del level
     return LengthHistogram(_closure(seeds, None), True)
 
 

@@ -13,7 +13,10 @@ string.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:  # only `pack_rows` takes an array, and needs no numpy import
+    import numpy as np
 
 SignedPerm = tuple[int, ...]
 
@@ -259,53 +262,30 @@ def format_perm(pi: SignedPerm) -> str:
 # ---------------------------------------------------------------------------
 # Packed byte encoding.
 #
-# Internal fixed-width encoding used by the growth and closure engines:
-# entry x is stored as its code, the byte x + 128, so permutations of
-# length up to 127 become bytes objects.  This section is the only code
-# that knows the offset; other modules use these primitives, which all
-# take codes, never signs:
+# Fixed-width encoding of one permutation as a bytes object: entry x is
+# stored as its code, the byte x + 128, so permutations of length up to 127
+# fit.  The BFS oracle keeps its states in it and the store's `.perms`
+# files are read and written through it.  This section is the only code
+# that knows the offset; other modules use these primitives:
 #
 #   pack_perm / unpack_perm        tuple <-> bytes
+#   pack_rows                      an `engine` level -> bytes, row by row
 #   format_packed / parse_packed   bytes <-> one line of the text encoding
 #   NEGATE_TABLE                   b.translate(NEGATE_TABLE) negates every entry
-#   DELETE_TABLE[c]                renumbers after removing the entry with code c
-#   split_packed(b, i)             inflates entry i into its monotone pair
-#   is_compact_packed(b)           is_compact on the packed form
 
 _MAX_PACKED_LEN = 127
 
 _CODES = bytes(range(256))
 NEGATE_TABLE = bytes((256 - c) % 256 for c in range(256))
 
-
-def _renumber_tables(step: int) -> list[bytes]:
-    """Tables indexed by code c: entries whose absolute value is above
-    that of c (either sign) move `step` away from zero, modulo 256."""
-    plus, minus = _CODES[step:] + _CODES[:step], _CODES[-step:] + _CODES[:-step]
-    return [
-        minus[: 128 - a] + _CODES[128 - a : 129 + a] + plus[129 + a :]
-        for a in (abs(c - 128) for c in range(256))
-    ]
-
-
-# DELETE_TABLE[c] renumbers after removing an entry with code c;
-# _SHIFT_UP_TABLE[c] makes room for one more value above it, and
-# _SPLIT_PAIR[c] is the monotone pair that replaces it.  The last two are
-# wrong at the extreme codes, which encode |x| = 127: inflating at that
-# length is already rejected by the packed-length limit.
-DELETE_TABLE = _renumber_tables(-1)
-_SHIFT_UP_TABLE = _renumber_tables(1)
-_SPLIT_PAIR = [_CODES[c : c + 2] if c > 128 else _CODES[c - 1 : c + 1] for c in range(256)]
-
-# The text of the entry each code encodes, and back; the code of 0 is no entry.
-_ENTRY_TEXT = [str(c - 128) for c in range(256)]
+# The entry each code encodes, one int object per code, and its text; the
+# code of 0 is no entry.
+_ENTRY = tuple(c - 128 for c in range(256))
+_ENTRY_TEXT = [str(x) for x in _ENTRY]
 _ENTRY_CODE = {text: c for c, text in enumerate(_ENTRY_TEXT) if c != 128}
 # Packed bytes are a signed permutation iff mapped through _ABS_TABLE
 # (|x| + 128) and sorted they run 129, 130, ...
 _ABS_TABLE = bytes(128 + abs(c - 128) if c else 0 for c in range(256))
-
-# Byte differences equal entry differences, so the tuple scan is exact.
-is_compact_packed = is_compact
 
 
 def pack_perm(pi: SignedPerm) -> bytes:
@@ -316,20 +296,17 @@ def pack_perm(pi: SignedPerm) -> bytes:
 
 
 def unpack_perm(packed: bytes) -> SignedPerm:
-    """Decode the packed byte encoding back to a tuple."""
-    return tuple(c - 128 for c in packed)
+    """Decode the packed byte encoding back to a tuple; equal entries of
+    any two results are one shared int object."""
+    return tuple(map(_ENTRY.__getitem__, packed))
 
 
-def split_packed(b: bytes, i: int) -> bytes:
-    """
-    Inflate the entry at 0-based position i into a monotone pair of its
-    sign: the packed form of `inflate` with block i of size 2.
-
-    >>> unpack_perm(split_packed(pack_perm((-1, 2)), 0))
-    (-2, -1, 3)
-    """
-    widened = b.translate(_SHIFT_UP_TABLE[b[i]])
-    return widened[:i] + _SPLIT_PAIR[b[i]] + widened[i + 1 :]
+def pack_rows(level: np.ndarray) -> Iterator[bytes]:
+    """The packed encoding of each row of an `engine` level (a 2-D int8
+    array of signed entries), in row order, one row at a time."""
+    n, m = level.shape
+    data = (level.astype("int16") + 128).astype("uint8").tobytes()
+    return (data[i : i + m] for i in range(0, n * m, m))
 
 
 def format_packed(b: bytes) -> str:

@@ -7,7 +7,7 @@ from signedgrids import cache
 from signedgrids.cli import main
 from signedgrids.distance import Family, generator_set
 from signedgrids.gridclass import LengthHistogram
-from signedgrids.perm import pack_perm
+from signedgrids.perm import pack_perm, pack_rows
 
 
 class TestPermsetFiles:
@@ -171,5 +171,5 @@ GROWN_DIGESTS = {
 @pytest.mark.parametrize("family,k", list(GROWN_DIGESTS), ids=lambda v: str(v))
 def test_grown_generator_sets_are_pinned(tmp_path, family, k):
     path = tmp_path / "pi.perms"
-    cache.write_packed(path, generator_set(family, k))
+    cache.write_packed(path, pack_rows(generator_set(family, k)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GROWN_DIGESTS[family, k]

@@ -45,6 +45,11 @@ class TestEnumerate:
         assert "line 2" in err
         assert "zero" in err
 
+    def test_length_limit_reported(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--perm", " ".join(str(x) for x in range(1, 15)))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "limit of 13" in err
+
     def test_nonstandard_value_reported(self, capsys):
         code, _, err = run(capsys, "enumerate", "--perm", "1 7")
         assert code == 2
@@ -166,6 +171,17 @@ class TestCache:
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k))
         assert (code, out) == (2, "")
         assert f"S_{k}.hist" in err
+
+    @pytest.mark.parametrize("verbose", [(), ("--verbose",)], ids=["plain", "verbose"])
+    def test_histogram_cut_inside_its_last_line_rejected(self, capsys, tmp_path, monkeypatch, verbose):
+        # "5 24" becomes "5 2": the file still parses and keeps its top length
+        run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
+        target = tmp_path / "pancake" / "S_4.hist"
+        target.write_bytes(target.read_bytes()[:-2])
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), *verbose, "pancake", "--k", "4")
+        assert (code, out) == (2, "")
+        assert "pancake k=4" in err and "leading coefficient" in err
 
     def test_env_var_sets_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))

@@ -1,24 +1,26 @@
 """Generator-set recursions, distance polynomials, sorting sequences."""
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from signedgrids import distance, gridclass
+from signedgrids import distance, engine, gridclass
 from signedgrids.distance import (
     Family,
     ResourceLimitError,
     apply_move,
+    check_polynomial,
     distance_histogram,
     distance_polynomial,
     pancake_pi,
     reversal_pi,
     sorting_sequence,
 )
-from signedgrids.perm import identity, inflate, is_compact, pack_perm
-from signedgrids.poly import format_coeff_array
+from signedgrids.perm import identity, inflate, is_compact, pack_perm, unpack_perm
+from signedgrids.poly import Polynomial, format_coeff_array
 
 import oracles
 import tables
@@ -72,7 +74,11 @@ class TestGeneratorCheck:
         grow = distance._grow
 
         def grow_one_more(level, family):
-            return grow(level, family) | {pack_perm(extra)}
+            grown = engine.to_tuples(grow(level, family))
+            # the rows of a level share one length, so a longer member
+            # can only come as a level of its own length
+            members = grown + [extra] if len(extra) == len(grown[0]) else [extra]
+            return engine.rows(members, len(extra))
 
         monkeypatch.setattr(distance, "_grow", grow_one_more)
         with pytest.raises(AssertionError, match="Pi_1"):
@@ -80,23 +86,34 @@ class TestGeneratorCheck:
         assert not (tmp_path / "pancake" / "S_1.hist").exists()
 
     def test_generators_freed_before_closure(self, monkeypatch):
-        refs = []
+        # The closure's top level is Pi_k itself, not a copy, and nothing
+        # outside the closure holds it, so it is freed once expanded.
+        refs, lengths = [], []
         grown = distance.generator_set
         closure = gridclass._closure
+        expand = engine.expand
 
         def recording(family, k):
             level = grown(family, k)
             refs.append(weakref.ref(level))
             return level
 
-        def checking(seeds, collect):
-            assert refs[0]() is None, "Pi_k is still referenced while the closure runs"
+        def checking_closure(seeds, collect):
+            assert seeds[5] is refs[0](), "the closure got a copy of Pi_k"
             return closure(seeds, collect)
 
+        def checking_expand(level):
+            lengths.append(level.shape[1])
+            if level.shape[1] < 5:
+                assert refs[0]() is None, "Pi_k is still referenced below the top level"
+            return expand(level)
+
         monkeypatch.setattr(distance, "generator_set", recording)
-        monkeypatch.setattr(gridclass, "_closure", checking)
+        monkeypatch.setattr(gridclass, "_closure", checking_closure)
+        monkeypatch.setattr(engine, "expand", checking_expand)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
         assert distance_histogram(Family.REVERSAL, 2).counts[5] == 4
+        assert lengths == [5, 4, 3, 2]
 
 
 class TestDistancePolynomial:
@@ -122,6 +139,28 @@ class TestDistancePolynomial:
         # same value either way, the guard is purely a resource gate
         p = distance_polynomial(Family.REVERSAL, 2, k_ceiling=2)
         assert p == tables.REVERSAL_AT_MOST[2]
+
+    @pytest.mark.parametrize("family,k_top", [(Family.PANCAKE, 9), (Family.REVERSAL, 5)])
+    def test_tables_pass_the_gate(self, family, k_top):
+        table = tables.PANCAKE_AT_MOST if family is Family.PANCAKE else tables.REVERSAL_AT_MOST
+        for k in range(1, k_top + 1):
+            check_polynomial(family, k, table[k])
+            check_polynomial(family, k, table[k] - table.get(k - 1, Polynomial.from_coeffs([1])))
+
+    @pytest.mark.parametrize(
+        "family,coeffs,check",
+        [
+            (Family.REVERSAL, [0, Fraction(1, 2)], "not an integer"),  # n/2
+            (Family.REVERSAL, [3], "outside"),  # P(1) = 3 > 2
+            (Family.REVERSAL, [-2, 1], "outside"),  # P(1) = -1
+            (Family.PANCAKE, [0, 2], "leading coefficient"),
+            (Family.PANCAKE, [], "leading coefficient"),
+        ],
+    )
+    def test_gate_rejects(self, family, coeffs, check):
+        p = Polynomial.from_coeffs(coeffs)
+        with pytest.raises(ValueError, match=f"{family.value} k=2: .*{check}"):
+            check_polynomial(family, 2, p)
 
     @pytest.mark.parametrize("family,k_top", [(Family.PANCAKE, 5), (Family.REVERSAL, 3)])
     def test_classes_grow_with_k(self, family, k_top):
@@ -186,3 +225,30 @@ class TestSortingSequence:
         for move in translated:
             current = apply_move(current, Family.REVERSAL, move)
         assert current == identity(len(sigma))
+
+
+def _shared_entries(members) -> bool:
+    """Whether equal entries of all the given tuples are one int object."""
+    objects = {}
+    for p in members:
+        for x in p:
+            objects.setdefault(x, set()).add(id(x))
+    return all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pancake_pi(6),
+        lambda: reversal_pi(3),
+        lambda: gridclass.complete_and_compact({(-8, 1, -7, 2, -6, 3, -5, 4)}),
+        lambda: [unpack_perm(pack_perm(p)) for p in [(-7, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, -7)]],
+    ],
+    ids=["pancake_pi", "reversal_pi", "complete_and_compact", "unpack_perm"],
+)
+def test_tuples_share_entry_objects(build):
+    # CPython caches only -5..256, so without sharing every entry from -6
+    # down would be its own int object
+    members = build()
+    assert any(x < -5 for p in members for x in p)
+    assert _shared_entries(members)

@@ -2,7 +2,10 @@
 of the generator sets and of the packed encoding, and no reader of `.perms`
 files outside `cache`."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,32 @@ def test_permset_files_read_only_by_cache(path):
 def test_packed_offset_known_only_to_perm(path):
     if path.name != "perm.py":
         assert re.findall(r"\b128\b", path.read_text()) == []
+
+
+def _numpy_loaded(*argv: str) -> bool:
+    """Run the CLI with argv (or only `import signedgrids`) in a fresh
+    interpreter and report whether numpy ended up in sys.modules."""
+    code = (
+        "import sys\n"
+        "import signedgrids\n"
+        "if sys.argv[1:]:\n"
+        "    from signedgrids.cli import main\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("SIGNEDGRIDS_CACHE_DIR", None)
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_numpy_stays_off_the_warm_path(tmp_path):
+    # numpy costs ~0.2 s and ~13 MB per process, paid only when a closure
+    # or a growth step runs
+    store = str(tmp_path)
+    verify = ("--cache-dir", store, "verify", "--family", "pancake", "--k-max", "8", "--n-max", "5")
+    assert not _numpy_loaded()
+    assert _numpy_loaded(*verify)  # cold: the closures fill the store
+    assert not _numpy_loaded(*verify)
+    assert not _numpy_loaded("--cache-dir", store, "--verbose", "pancake", "--k", "8")

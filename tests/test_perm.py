@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from signedgrids import engine
 from signedgrids.perm import (
-    DELETE_TABLE,
     NEGATE_TABLE,
     all_perms,
     block_reversal,
@@ -19,12 +19,11 @@ from signedgrids.perm import (
     format_packed,
     inflate,
     is_compact,
-    is_compact_packed,
     pack_perm,
+    pack_rows,
     parse_packed,
     parse_perm,
     prefix_reversal,
-    split_packed,
     standardize,
     unpack_perm,
 )
@@ -326,12 +325,55 @@ class TestPackedEncoding:
     def test_primitives_match_tuple_operators(self, p):
         b = pack_perm(p)
         assert unpack_perm(b.translate(NEGATE_TABLE)) == tuple(-x for x in p)
-        assert is_compact_packed(b) == is_compact(p)
         assert format_packed(b) == format_perm(p)
         assert parse_packed(format_perm(p)) == b
         with pytest.raises(ValueError):
             parse_packed(format_perm(p) + " ")
+
+
+class TestArrayEngine:
+    """The level operators act row by row as the tuple operators do."""
+
+    LEVEL = sorted(all_perms(4))
+
+    @given(signed_perms(min_len=1, max_len=8))
+    def test_operators_match_tuple_operators(self, p):
+        level = engine.rows([p], len(p))
+        assert list(pack_rows(level)) == [pack_perm(p)]
+        assert engine.to_tuples(level) == [p]
+        assert engine.compact_mask(level).tolist() == [is_compact(p)]
         for i in range(len(p)):
-            assert unpack_perm((b[:i] + b[i + 1 :]).translate(DELETE_TABLE[b[i]])) == delete(p, i + 1)
+            assert engine.to_tuples(engine.delete_column(level, i)) == [delete(p, i + 1)]
             sizes = [2 if j == i else 1 for j in range(len(p))]
-            assert unpack_perm(split_packed(b, i)) == inflate(p, sizes)
+            assert engine.to_tuples(engine.split_column(level, i)) == [inflate(p, sizes)]
+
+    def test_operators_on_a_whole_level(self):
+        level = engine.rows(self.LEVEL, 4)
+        assert engine.to_tuples(level) == self.LEVEL
+        assert list(pack_rows(level)) == [pack_perm(p) for p in self.LEVEL]
+        assert engine.compact_mask(level).tolist() == [is_compact(p) for p in self.LEVEL]
+        for i in range(4):
+            assert engine.to_tuples(engine.delete_column(level, i)) == [delete(p, i + 1) for p in self.LEVEL]
+            sizes = [2 if j == i else 1 for j in range(4)]
+            assert engine.to_tuples(engine.split_column(level, i)) == [inflate(p, sizes) for p in self.LEVEL]
+
+    def test_unique_rows_sorted_and_distinct(self):
+        level = engine.rows(self.LEVEL, 4)
+        assert engine.to_tuples(engine.unique_rows([level[::-1], level[:100]])) == self.LEVEL
+
+    def test_expand_is_every_single_deletion(self):
+        members = [(4, -1, 3, -2), (-2, 1, 4, 3), (1, 2, 3, 4)]
+        expected = sorted({delete(p, i) for p in members for i in range(1, 5)})
+        assert engine.to_tuples(engine.expand(engine.rows(members, 4))) == expected
+
+    def test_longest_rows_keep_exact_keys(self):
+        # 13 12 ... 1 has the largest key of length 13, close to 27**13
+        low, top = tuple(range(-13, 0)), tuple(range(13, 0, -1))
+        level = engine.rows([top, low, identity(13), top], 13)
+        assert engine.to_tuples(engine.unique_rows([level])) == [low, identity(13), top]
+
+    def test_length_limit(self):
+        with pytest.raises(ValueError, match="limit of 13"):
+            engine.rows([identity(14)], 14)
+        with pytest.raises(ValueError, match="limit of 13"):
+            engine.split_column(engine.rows([identity(13)], 13), 0)
