@@ -17,15 +17,18 @@ output, so everything written here is sorted.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .gridclass import LengthHistogram, PermSet
-from .perm import format_packed, pack_perm, parse_packed, unpack_perm
+from .perm import parse_packed, unpack_perm
 
-if TYPE_CHECKING:  # only `family.value` is used, so no import at run time
+if TYPE_CHECKING:  # `family.value` and array levels only, so no import at run time
+    import numpy as np
+
     from .distance import Family
 
 PERMS_HEADER = "# signedgrids permset v1"
@@ -33,6 +36,9 @@ HIST_HEADER = "# signedgrids hist v1"
 
 _EPSILON_LINES = {"epsilon 0": False, "epsilon 1": True}
 _COUNT_LINE = re.compile(r"([1-9][0-9]*) ([1-9][0-9]*)")
+
+# Rows per block of text when a level is written.
+_BLOCK_ROWS = 1 << 14
 
 
 def pi_path(cache_dir: Path, family: Family, k: int) -> Path:
@@ -50,28 +56,57 @@ def _read_lines(path: Path, header: str) -> list[str]:
     return lines[1:]
 
 
-def _write(path: Path, lines: Iterable[str]) -> None:
+def _write(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as f:
-            f.writelines(line + "\n" for line in lines)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write_packed(path: Path, packed: Iterable[bytes]) -> None:
-    """Write distinct packed permutations in the PermSet text format, sorted
-    by (entry count, text) as `gridclass.permset_to_lines` sorts."""
-    by_length: dict[int, list[str]] = {}
-    for b in packed:
-        by_length.setdefault(len(b), []).append(format_packed(b))
-    lines = [PERMS_HEADER]
-    for m in sorted(by_length):
-        lines += sorted(by_length.pop(m))
-    _write(path, lines)
+def write_levels(path: Path, levels: Iterable[np.ndarray]) -> None:
+    """Write `engine` levels, one per length and each of distinct rows, in
+    the PermSet text format, sorted by (entry count, text) as
+    `gridclass.permset_to_lines` sorts."""
+    blocks = map(_level_text, sorted(levels, key=lambda level: level.shape[1]))
+    _write(path, itertools.chain([PERMS_HEADER + "\n"], *blocks))
+
+
+def _level_text(level: np.ndarray) -> Iterator[str]:
+    """The lines of one level in text order, a block of rows at a time.
+
+    Rows of one length sort as text exactly as the sequences of their
+    entries' ranks among the entry texts sort: where one entry's text is a
+    prefix of another's, a space or the line end follows it, and both sort
+    before every digit.  So the rows are sorted on the keys of their rank
+    sequences and written through a table from rank to text."""
+    import numpy as np
+
+    from . import engine
+
+    n, m = level.shape
+    if m == 0:
+        yield "\n" * n
+        return
+    texts = sorted((str(x) for x in range(-m, m + 1) if x))
+    # rank r is stored as r - m, in the -m..m range of a length-m level
+    rank = np.zeros(2 * m + 1, dtype=np.int8)
+    for r, text in enumerate(texts):
+        rank[int(text) + m] = r - m
+    keys = engine.keys(rank[level + m])
+    keys.sort()
+    ranked = engine.from_keys(keys, m)
+    # table[last, r]: the text of rank r - m, then a space or, in the last
+    # column, the line end
+    table = np.array([[t + " " for t in texts], [t + "\n" for t in texts]], dtype=object)
+    last = np.zeros(m, dtype=np.intp)
+    last[-1] = 1
+    for start in range(0, n, _BLOCK_ROWS):
+        yield "".join(table[last, ranked[start : start + _BLOCK_ROWS] + m].ravel().tolist())
 
 
 def read_packed(path: Path) -> set[bytes]:
@@ -89,7 +124,13 @@ def read_packed(path: Path) -> set[bytes]:
 
 
 def write_permset(path: Path, members: PermSet) -> None:
-    write_packed(path, {pack_perm(p) for p in members})
+    """Write tuples of length up to `engine.MAX_LENGTH` (13) through `write_levels`."""
+    from . import engine
+
+    by_length: dict[int, list] = {}
+    for p in members:
+        by_length.setdefault(len(p), []).append(p)
+    write_levels(path, [engine.rows(perms, m) for m, perms in by_length.items()])
 
 
 def read_permset(path: Path) -> PermSet:
@@ -99,7 +140,7 @@ def read_permset(path: Path) -> PermSet:
 def write_histogram(path: Path, hist: LengthHistogram) -> None:
     lines = [HIST_HEADER, f"epsilon {1 if hist.has_epsilon else 0}"]
     lines.extend(f"{m} {hist.counts[m]}" for m in sorted(hist.counts))
-    _write(path, lines)
+    _write(path, [line + "\n" for line in lines])
 
 
 def read_histogram(path: Path) -> LengthHistogram:

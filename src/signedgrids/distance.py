@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import cache, gridclass, poly
-from .perm import SignedPerm, block_reversal, identity, inflate, pack_rows, prefix_reversal
+from .perm import SignedPerm, block_reversal, identity, inflate, prefix_reversal
 
 if TYPE_CHECKING:  # numpy is loaded by `engine` on the first growth step
     import numpy as np
@@ -162,7 +162,7 @@ def distance_histogram(
         generators = [generator_set(family, k)]
         size = len(generators[0])
         if path is not None and k >= 1:
-            cache.write_packed(cache.pi_path(cache_dir, family, k), pack_rows(generators[0]))
+            cache.write_levels(cache.pi_path(cache_dir, family, k), generators)
         # pop() leaves no name here bound to Pi_k, so the closure can free
         # it once it has expanded it.
         hist = gridclass.closure_histogram_rows(generators.pop())

@@ -18,11 +18,17 @@ length m is the digit x + m in base 2m + 1, first entry most significant.
 Key order is therefore the lexicographic order of the rows, and keys are
 exact up to MAX_LENGTH entries (27**13 < 2**63).  Distinct rows come from
 an in-place sort of the keys and a neighbour mask, then decoding the keys;
-`np.unique` took over ten times as long on ten million keys.
+`np.unique` took over ten times as long on ten million keys.  The codec is
+public for the BFS oracle, which keeps its layers as sorted keys:
 
-numpy is imported by this module alone, and `distance` and `gridclass`
-import it only inside the functions that grow or close a set, so that
-`import signedgrids` and queries answered from the store never load it.
+    keys(level)           the key of every row
+    distinct(keys)        the distinct values of sorted keys
+    from_keys(keys, m)    keys -> a level of length m
+
+numpy is imported at the top of this module alone; `distance`,
+`gridclass`, `oracle` and `cache` import it only inside the functions that
+grow, close, search or write a set, so that `import signedgrids` and
+queries answered from the store never load it.
 """
 from __future__ import annotations
 
@@ -56,7 +62,8 @@ def _check_length(m: int) -> None:
 def rows(perms: Iterable[SignedPerm], m: int) -> np.ndarray:
     """The level holding the given permutations, all of length m, in order."""
     _check_length(m)
-    return np.array(list(perms), dtype=np.int8).reshape(-1, m)
+    listed = list(perms)
+    return np.array(listed, dtype=np.int8).reshape(len(listed), m)
 
 
 def to_tuples(level: np.ndarray) -> list[SignedPerm]:
@@ -102,20 +109,20 @@ def compact_mask(level: np.ndarray) -> np.ndarray:
     return ~(np.diff(level, axis=1) == 1).any(axis=1)
 
 
-def _keys(level: np.ndarray) -> np.ndarray:
+def keys(level: np.ndarray) -> np.ndarray:
     """The mixed-radix key of every row."""
     n, m = level.shape
     base = 2 * m + 1
-    keys = np.zeros(n, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
     for j in range(m):
-        keys *= base
-        keys += level[:, j]
+        out *= base
+        out += level[:, j]
     # adding m to every digit at once
-    keys += m * (base**m - 1) // (base - 1)
-    return keys
+    out += m * (base**m - 1) // (base - 1)
+    return out
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
+def distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of sorted keys, in order."""
     if len(keys) < 2:
         return keys
@@ -125,7 +132,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _from_keys(keys: np.ndarray, m: int) -> np.ndarray:
+def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
     """Decode keys into a level of length m, stored column by column;
     `keys` is consumed."""
     base = 2 * m + 1
@@ -139,9 +146,9 @@ def _from_keys(keys: np.ndarray, m: int) -> np.ndarray:
 
 def unique_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
     """The distinct rows of levels of one length, in lexicographic order."""
-    keys = np.concatenate([_keys(p) for p in parts])
-    keys.sort()
-    return _from_keys(_distinct(keys), parts[0].shape[1])
+    found = np.concatenate([keys(p) for p in parts])
+    found.sort()
+    return from_keys(distinct(found), parts[0].shape[1])
 
 
 def expand(level: np.ndarray) -> np.ndarray:
@@ -154,17 +161,17 @@ def expand(level: np.ndarray) -> np.ndarray:
     n, m = level.shape
     found = np.empty(0, dtype=np.int64)
     for i in range(m):
-        keys = np.empty(n, dtype=np.int64)
+        deleted = np.empty(n, dtype=np.int64)
         for start in range(0, n, _BLOCK_ROWS):
             block = level[start : start + _BLOCK_ROWS]
-            keys[start : start + len(block)] = _keys(delete_column(block, i))
-        keys.sort()
+            deleted[start : start + len(block)] = keys(delete_column(block, i))
+        deleted.sort()
         # Rebinding frees each array once it has been merged, so at most
         # the level and two sets of keys are alive at once.
-        keys = _distinct(keys)
-        found = np.concatenate((found, keys))
-        del keys
+        deleted = distinct(deleted)
+        found = np.concatenate((found, deleted))
+        del deleted
         # two sorted runs, which the stable sort (timsort) merges in one pass
         found.sort(kind="stable")
-        found = _distinct(found)
-    return _from_keys(found, m - 1)
+        found = distinct(found)
+    return from_keys(found, m - 1)

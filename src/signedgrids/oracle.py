@@ -3,8 +3,12 @@ Ground-truth distances by breadth-first search over B_n.
 
 Both generator families consist of involutions, so distance to the sorted
 permutation is symmetric and the BFS layers from the identity are exactly
-the distance classes.  States use the packed byte encoding; a prefix
-reversal or block reversal is a translate plus slice reversal.
+the distance classes.  The search keeps its own move code, independent of
+the generator growth it checks: a move is a fixed column order and a sign
+vector (pancake move j reverses and negates columns [0, j), reversal move
+(i, j) columns [i, j)), and a layer's images under it are
+`rows[:, order] * sign` on an `engine` level.  A layer is the sorted
+array of its `engine.keys`; numpy is loaded only when a search starts.
 """
 from __future__ import annotations
 
@@ -12,9 +16,12 @@ import json
 from dataclasses import dataclass
 from math import factorial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .distance import Family, ResourceLimitError, check_k, distance_polynomial
-from .perm import NEGATE_TABLE, identity, pack_perm
+
+if TYPE_CHECKING:  # numpy is loaded only when a search starts
+    import numpy as np
 
 DEFAULT_N_CEILING = 7
 
@@ -36,26 +43,6 @@ class DistanceHistogram:
         return sum(self.counts[: k + 1])
 
 
-def _neighbors_pancake(state: bytes, n: int) -> list[bytes]:
-    return [state[:i].translate(NEGATE_TABLE)[::-1] + state[i:] for i in range(1, n + 1)]
-
-
-def _neighbors_reversal(state: bytes, n: int) -> list[bytes]:
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            out.append(state[:i] + state[i:j].translate(NEGATE_TABLE)[::-1] + state[j:])
-    return out
-
-
-def _expand_frontier(frontier: set[bytes], family: Family, n: int) -> set[bytes]:
-    gen = _neighbors_pancake if family is Family.PANCAKE else _neighbors_reversal
-    out: set[bytes] = set()
-    for state in frontier:
-        out.update(gen(state, n))
-    return out
-
-
 def check_n(n: int, n_ceiling: int = DEFAULT_N_CEILING) -> None:
     """Refuse n < 1, or n above the oracle ceiling, before any search starts."""
     if n < 1:
@@ -67,6 +54,29 @@ def check_n(n: int, n_ceiling: int = DEFAULT_N_CEILING) -> None:
         )
 
 
+def _moves(n: int, family: Family) -> list[tuple[list[int], list[int]]]:
+    """Every move on n entries as (column order, sign vector): the segment
+    [i, j) of columns is reversed and negated, the rest left in place."""
+    if family is Family.PANCAKE:
+        segments = [(0, j) for j in range(1, n + 1)]
+    else:
+        segments = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    return [
+        (
+            [*range(i), *range(j - 1, i - 1, -1), *range(j, n)],
+            [1] * i + [-1] * (j - i) + [1] * (n - j),
+        )
+        for i, j in segments
+    ]
+
+
+def _members(keys: np.ndarray, layer: np.ndarray) -> np.ndarray:
+    """For each key, whether it occurs in the sorted, nonempty array `layer`."""
+    at = layer.searchsorted(keys)
+    at.clip(None, len(layer) - 1, out=at)
+    return layer[at] == keys
+
+
 def bfs_histogram(n: int, family: Family, n_ceiling: int = DEFAULT_N_CEILING) -> DistanceHistogram:
     """
     Exact layer sizes of B_n from the identity under the family's
@@ -74,20 +84,40 @@ def bfs_histogram(n: int, family: Family, n_ceiling: int = DEFAULT_N_CEILING) ->
     states); raise it explicitly to go to n = 8 and beyond.
     """
     check_n(n, n_ceiling)
-    # Every move is an involution, so the neighbours of layer d lie in
-    # layers d-1, d and d+1: the last two layers are all the search keeps.
-    previous: set[bytes] = set()
-    layer = {pack_perm(identity(n))}
+    import numpy as np
+
+    from . import engine
+
+    moves = [(np.array(order), np.array(sign, dtype=np.int8)) for order, sign in _moves(n, family)]
+    # Every move is an involution, so the images of layer d lie in layers
+    # d-1, d and d+1: the last two layers are all the search keeps.
+    layer = engine.keys(engine.rows([tuple(range(1, n + 1))], n))
+    # No move fixes the identity, so it can stand in for the layer before it.
+    previous = layer
     counts = [1]
-    while True:
-        produced = _expand_frontier(layer, family, n)
-        produced -= layer
-        produced -= previous
-        if not produced:
-            break
-        counts.append(len(produced))
-        previous, layer = layer, produced
     total = 2**n * factorial(n)
+    # A search that counts more states than B_n holds is broken: stop it
+    # rather than let it run on.
+    while sum(counts) <= total:
+        rows = engine.from_keys(layer.copy(), n)
+        # The images of each move are keyed and merged into the result
+        # before the next move's, which bounds the temporaries.  A move is
+        # a bijection, so one move's images of distinct rows are distinct.
+        found = np.empty(0, dtype=np.int64)
+        for order, sign in moves:
+            images = engine.keys(rows[:, order] * sign)
+            images.sort()
+            found = np.concatenate((found, images))
+            del images
+            # two sorted runs, which the stable sort (timsort) merges in one pass
+            found.sort(kind="stable")
+            found = engine.distinct(found)
+        del rows
+        found = found[~(_members(found, layer) | _members(found, previous))]
+        if not len(found):
+            break
+        counts.append(len(found))
+        previous, layer = layer, found
     if sum(counts) != total:
         raise AssertionError(
             f"BFS covered {sum(counts)} of {total} states; generator application is broken"

@@ -13,10 +13,7 @@ string.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:  # only `pack_rows` takes an array, and needs no numpy import
-    import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 SignedPerm = tuple[int, ...]
 
@@ -264,25 +261,20 @@ def format_perm(pi: SignedPerm) -> str:
 #
 # Fixed-width encoding of one permutation as a bytes object: entry x is
 # stored as its code, the byte x + 128, so permutations of length up to 127
-# fit.  The BFS oracle keeps its states in it and the store's `.perms`
-# files are read and written through it.  This section is the only code
-# that knows the offset; other modules use these primitives:
+# fit.  The store's `.perms` files are read through it.  This section is
+# the only code that knows the offset; other modules use these primitives:
 #
 #   pack_perm / unpack_perm        tuple <-> bytes
-#   pack_rows                      an `engine` level -> bytes, row by row
-#   format_packed / parse_packed   bytes <-> one line of the text encoding
-#   NEGATE_TABLE                   b.translate(NEGATE_TABLE) negates every entry
+#   parse_packed                   one line of the text encoding -> bytes
 
 _MAX_PACKED_LEN = 127
 
 _CODES = bytes(range(256))
-NEGATE_TABLE = bytes((256 - c) % 256 for c in range(256))
 
-# The entry each code encodes, one int object per code, and its text; the
-# code of 0 is no entry.
+# The entry each code encodes, one int object per code; the code of 0 is
+# no entry.
 _ENTRY = tuple(c - 128 for c in range(256))
-_ENTRY_TEXT = [str(x) for x in _ENTRY]
-_ENTRY_CODE = {text: c for c, text in enumerate(_ENTRY_TEXT) if c != 128}
+_ENTRY_CODE = {str(x): c for c, x in enumerate(_ENTRY) if x}
 # Packed bytes are a signed permutation iff mapped through _ABS_TABLE
 # (|x| + 128) and sorted they run 129, 130, ...
 _ABS_TABLE = bytes(128 + abs(c - 128) if c else 0 for c in range(256))
@@ -301,23 +293,10 @@ def unpack_perm(packed: bytes) -> SignedPerm:
     return tuple(map(_ENTRY.__getitem__, packed))
 
 
-def pack_rows(level: np.ndarray) -> Iterator[bytes]:
-    """The packed encoding of each row of an `engine` level (a 2-D int8
-    array of signed entries), in row order, one row at a time."""
-    n, m = level.shape
-    data = (level.astype("int16") + 128).astype("uint8").tobytes()
-    return (data[i : i + m] for i in range(0, n * m, m))
-
-
-def format_packed(b: bytes) -> str:
-    """The canonical text encoding of a packed permutation."""
-    return " ".join([_ENTRY_TEXT[c] for c in b])
-
-
 def parse_packed(text: str) -> bytes:
     """
     Parse the canonical text encoding straight to packed bytes.  Stricter
-    than `parse_perm`: the text must be exactly what `format_packed`
+    than `parse_perm`: the text must be exactly what `format_perm`
     writes, so ``+1``, ``01`` and doubled spaces are rejected.
     """
     try:

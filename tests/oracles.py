@@ -12,8 +12,10 @@ import itertools
 
 from signedgrids.perm import (
     SignedPerm,
+    block_reversal,
     identity,
     inflate,
+    prefix_reversal,
     standardize,
 )
 
@@ -87,6 +89,32 @@ def reversal_neighbors(p: SignedPerm) -> list[SignedPerm]:
         for j in range(i, len(p)):
             out.append(p[:i] + tuple(-x for x in reversed(p[i : j + 1])) + p[j + 1 :])
     return out
+
+
+def pancake_flips(p: SignedPerm) -> list[SignedPerm]:
+    return [prefix_reversal(p, i) for i in range(1, len(p) + 1)]
+
+
+def block_reversals(p: SignedPerm) -> list[SignedPerm]:
+    return [block_reversal(p, i, j) for i in range(1, len(p) + 1) for j in range(i, len(p) + 1)]
+
+
+def tuple_bfs_layers(n: int, neighbors) -> tuple[int, ...]:
+    """Layer sizes of B_n by plain breadth-first search from the identity,
+    one tuple at a time, remembering every state seen."""
+    seen = {identity(n)}
+    layer = [identity(n)]
+    counts = []
+    while layer:
+        counts.append(len(layer))
+        following = []
+        for p in layer:
+            for q in neighbors(p):
+                if q not in seen:
+                    seen.add(q)
+                    following.append(q)
+        layer = following
+    return tuple(counts)
 
 
 def iddfs_distance(start: SignedPerm, neighbors, max_depth: int = 16) -> int:

@@ -1,13 +1,14 @@
 """Cache file formats round-trip losslessly and reject foreign files."""
 import hashlib
+import random
 
 import pytest
 
-from signedgrids import cache
+from signedgrids import cache, engine
 from signedgrids.cli import main
 from signedgrids.distance import Family, generator_set
-from signedgrids.gridclass import LengthHistogram
-from signedgrids.perm import pack_perm, pack_rows
+from signedgrids.gridclass import LengthHistogram, permset_to_lines
+from signedgrids.perm import all_perms, pack_perm
 
 
 class TestPermsetFiles:
@@ -118,7 +119,7 @@ def test_cold_written_bytes_are_pinned(tmp_path, capsys):
     "writer,old,new",
     [
         (cache.write_histogram, LengthHistogram({1: 2}, True), LengthHistogram({1: 2, 2: 2}, True)),
-        (cache.write_packed, {pack_perm((1, -2))}, {pack_perm((1, -2)), pack_perm((-2, 1))}),
+        (cache.write_levels, [engine.rows([(1, -2)], 2)], [engine.rows([(1, -2), (-2, 1)], 2)]),
     ],
     ids=["histogram", "packed"],
 )
@@ -141,16 +142,23 @@ class TestPackedFiles:
     def test_round_trip_matches_tuple_reader(self, tmp_path):
         members = frozenset({(1, -2), (-1,), (2, -1, 3), (-3, 1, -2)})
         path = tmp_path / "p.perms"
-        cache.write_packed(path, {pack_perm(p) for p in members})
+        cache.write_permset(path, members)
         assert cache.read_packed(path) == {pack_perm(p) for p in members}
         assert cache.read_permset(path) == members
 
     def test_same_bytes_as_tuple_writer(self, tmp_path):
-        members = frozenset({(), (1,), (-1,), (1, -2), (-2, 1), (2, -1, 3)})
-        tuples, packed = tmp_path / "t.perms", tmp_path / "p.perms"
-        cache.write_permset(tuples, members)
-        cache.write_packed(packed, {pack_perm(p) for p in members})
-        assert tuples.read_bytes() == packed.read_bytes()
+        # entries up to 12 put "1", "10", "11", "12" and "-1", "-10" side by
+        # side, where text order is not numeric order
+        rng = random.Random(0)
+        members = {(), (1,), *all_perms(3)}
+        for m in (11, 12):
+            for _ in range(300):
+                values = rng.sample(range(1, m + 1), m)
+                members.add(tuple(v * rng.choice((1, -1)) for v in values))
+        path = tmp_path / "t.perms"
+        cache.write_permset(path, frozenset(members))
+        expected = [cache.PERMS_HEADER, *permset_to_lines(members)]
+        assert path.read_text() == "".join(line + "\n" for line in expected)
 
     @pytest.mark.parametrize("body", ["1 3\n", "1 1\n", "0\n", "1 -1\n", "x\n", "1\n\n2 1\n", "+1\n", "01\n"])
     def test_malformed_line_rejected(self, tmp_path, body):
@@ -160,7 +168,7 @@ class TestPackedFiles:
             cache.read_packed(path)
 
 
-# sha256 of `write_packed` output for Pi_k grown without a store; the
+# sha256 of `write_levels` output for Pi_k grown without a store; the
 # digests come from the per-family growth loops that `distance._grow` replaced.
 GROWN_DIGESTS = {
     (Family.REVERSAL, 6): "fe93c168906cae208c4a7ffcd6e076bb4615a16c82d249d07a66842447869452",
@@ -171,5 +179,5 @@ GROWN_DIGESTS = {
 @pytest.mark.parametrize("family,k", list(GROWN_DIGESTS), ids=lambda v: str(v))
 def test_grown_generator_sets_are_pinned(tmp_path, family, k):
     path = tmp_path / "pi.perms"
-    cache.write_packed(path, pack_rows(generator_set(family, k)))
+    cache.write_levels(path, [generator_set(family, k)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GROWN_DIGESTS[family, k]

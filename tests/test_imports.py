@@ -1,6 +1,6 @@
 """Module boundaries: no private cross-module imports, one owner of the store,
-of the generator sets and of the packed encoding, and no reader of `.perms`
-files outside `cache`."""
+of the generator sets and of the packed encoding, no reader of `.perms`
+files outside `cache`, and a BFS oracle with its own move code."""
 import ast
 import os
 import re
@@ -104,11 +104,18 @@ def _numpy_loaded(*argv: str) -> bool:
 
 
 def test_numpy_stays_off_the_warm_path(tmp_path):
-    # numpy costs ~0.2 s and ~13 MB per process, paid only when a closure
-    # or a growth step runs
+    # numpy costs ~0.2 s and ~13 MB per process, paid only when a closure,
+    # a growth step or a BFS runs
     store = str(tmp_path)
     verify = ("--cache-dir", store, "verify", "--family", "pancake", "--k-max", "8", "--n-max", "5")
     assert not _numpy_loaded()
     assert _numpy_loaded(*verify)  # cold: the closures fill the store
-    assert not _numpy_loaded(*verify)
+    assert _numpy_loaded(*verify)  # warm: the BFS searches on arrays
     assert not _numpy_loaded("--cache-dir", store, "--verbose", "pancake", "--k", "8")
+    assert not _numpy_loaded("--cache-dir", store, "pancake", "--k", "7", "--exact")
+
+
+def test_oracle_keeps_its_own_moves():
+    # the BFS checks growth and closure, so it shares none of their move code
+    source = (ROOT / "src" / "signedgrids" / "oracle.py").read_text()
+    assert re.findall(r"\b(?:delete_column|split_column|expand|compact_mask|_grow)\b", source) == []

@@ -17,6 +17,13 @@ from signedgrids.perm import all_perms
 
 import oracles
 
+# Layer sizes of B_7 and B_6 from the set-of-bytes search that the array
+# search replaced.
+PINNED_LAYERS = {
+    (Family.PANCAKE, 7): (1, 7, 42, 252, 1386, 6230, 24024, 71568, 159326, 222995, 136301, 21951, 1021, 15, 1),
+    (Family.REVERSAL, 6): (1, 21, 245, 2170, 8820, 19495, 15148, 180),
+}
+
 
 class TestBfsHistogram:
     def test_single_burnt_pancake(self):
@@ -39,6 +46,28 @@ class TestBfsHistogram:
     def test_ceiling(self):
         with pytest.raises(ResourceLimitError, match="ceiling"):
             bfs_histogram(8, Family.PANCAKE)
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [(Family.PANCAKE, n) for n in range(1, 7)] + [(Family.REVERSAL, n) for n in range(1, 6)],
+        ids=str,
+    )
+    def test_layers_match_tuple_bfs(self, family, n):
+        neighbors = oracles.pancake_flips if family is Family.PANCAKE else oracles.block_reversals
+        assert bfs_histogram(n, family).counts == oracles.tuple_bfs_layers(n, neighbors)
+
+    @pytest.mark.parametrize("family,n", list(PINNED_LAYERS), ids=str)
+    def test_largest_layers_are_pinned(self, family, n):
+        assert bfs_histogram(n, family).counts == PINNED_LAYERS[family, n]
+
+    @pytest.mark.stretch
+    def test_pancake_b8_with_raised_ceiling(self):
+        # ten million states, about 10 s on 2 cores; n = 8 is also a point
+        # past the default ceiling where the polynomials must agree
+        hist = bfs_histogram(8, Family.PANCAKE, n_ceiling=8)
+        assert sum(hist.counts) == 2**8 * factorial(8)
+        for k in range(9):
+            assert distance.distance_polynomial(Family.PANCAKE, k)(8) == hist.within(k)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_pancake_layers_match_iddfs(self, n):

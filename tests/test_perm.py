@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from signedgrids import engine
 from signedgrids.perm import (
-    NEGATE_TABLE,
     all_perms,
     block_reversal,
     check_perm,
@@ -16,11 +15,9 @@ from signedgrids.perm import (
     delete,
     format_perm,
     identity,
-    format_packed,
     inflate,
     is_compact,
     pack_perm,
-    pack_rows,
     parse_packed,
     parse_perm,
     prefix_reversal,
@@ -324,8 +321,6 @@ class TestPackedEncoding:
     @given(signed_perms(max_len=8))
     def test_primitives_match_tuple_operators(self, p):
         b = pack_perm(p)
-        assert unpack_perm(b.translate(NEGATE_TABLE)) == tuple(-x for x in p)
-        assert format_packed(b) == format_perm(p)
         assert parse_packed(format_perm(p)) == b
         with pytest.raises(ValueError):
             parse_packed(format_perm(p) + " ")
@@ -339,7 +334,7 @@ class TestArrayEngine:
     @given(signed_perms(min_len=1, max_len=8))
     def test_operators_match_tuple_operators(self, p):
         level = engine.rows([p], len(p))
-        assert list(pack_rows(level)) == [pack_perm(p)]
+        assert engine.to_tuples(engine.from_keys(engine.keys(level), len(p))) == [p]
         assert engine.to_tuples(level) == [p]
         assert engine.compact_mask(level).tolist() == [is_compact(p)]
         for i in range(len(p)):
@@ -350,7 +345,9 @@ class TestArrayEngine:
     def test_operators_on_a_whole_level(self):
         level = engine.rows(self.LEVEL, 4)
         assert engine.to_tuples(level) == self.LEVEL
-        assert list(pack_rows(level)) == [pack_perm(p) for p in self.LEVEL]
+        # key order is the lexicographic order of the rows
+        keys = engine.keys(level).tolist()
+        assert keys == sorted(set(keys))
         assert engine.compact_mask(level).tolist() == [is_compact(p) for p in self.LEVEL]
         for i in range(4):
             assert engine.to_tuples(engine.delete_column(level, i)) == [delete(p, i + 1) for p in self.LEVEL]
