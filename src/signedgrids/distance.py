@@ -18,21 +18,39 @@ length in its class, so |Pi_k| is the top entry of the class's length
 histogram; `generator_count` reads it there, and every histogram, computed
 or read from the store, is checked against that longest length.
 
-This module holds the whole pipeline, Pi_k -> closure -> histogram ->
+The class's histogram counts the compact members of the downset of Pi_k
+(its members and everything they contain), and the same recursion grows
+that downset one move at a time, with no deletion closure.  Let D_k(m) be
+its members of length m (D_0 = {1}), and let M_c split c entries of a
+permutation into monotone pairs and reverse and negate the segment between
+two cuts, c of which sit between the halves of a split entry while the
+rest fall between entries (empty segments included).  Restricting a member
+of Pi_k to some of its entries keeps both halves of a split entry, and the
+cut between them, or at most one half, which puts that cut between
+entries.  So
+
+    D_k(m) = M_0(D_{k-1}(m)) | M_1(D_{k-1}(m-1)) | M_2(D_{k-1}(m-2)),
+
+where pancakes, whose left cut is pinned at 0, have no M_2, and the top
+level of D_k is Pi_k itself.  Every D_j is grown whole up to D_{k-1}; D_k
+is built top-down, and each of its levels is counted and dropped, as is
+each level of D_{k-1} once the level of D_k of its length is built.
+
+This module holds the whole pipeline, Pi_k and its downset -> histogram ->
 polynomial, and `distance_histogram` is the only function that reads or
 writes the on-disk store (`cache`).  Pi_k is always grown from Pi_0: the
-store's `pi_k.perms` is an export, never read back.  Growth steps every
-member of Pi_{k-1} at once on an `engine` level (an int8 array, one row
-per permutation), so Pi_k is limited to `engine.MAX_LENGTH` (13) entries;
-numpy is loaded on the first growth step, not on import.  Every
-polynomial passes `check_polynomial` before it is returned.
+store's `pi_k.perms` is an export, never read back.  Every step acts on
+whole `engine` levels (int8 arrays, one row per permutation), so Pi_k is
+limited to `engine.MAX_LENGTH` (13) entries; numpy is loaded on the first
+growth step, not on import.  Every polynomial passes `check_polynomial`
+before it is returned.
 """
 from __future__ import annotations
 
 import enum
 from math import factorial
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import cache, gridclass, poly
 from .perm import SignedPerm, block_reversal, identity, inflate, prefix_reversal
@@ -71,28 +89,115 @@ def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
         )
 
 
+# Cuts that a move can place inside a newly split entry: a pancake flip's
+# left cut is pinned at position 0, outside every entry.
+_MAX_INSIDE = {Family.PANCAKE: 1, Family.REVERSAL: 2}
+
+# Candidate rows per part that `_reverse_segments` hands to `engine.unique_rows`.
+_PART_ROWS = 1 << 20
+
+
+def _reverse_segments(level: np.ndarray, segments: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """
+    Every row of the level with each segment [a, b) of its columns reversed
+    and negated, one copy per segment, as one fancy-indexed gather per
+    block of rows.
+    """
+    import numpy as np
+
+    m = level.shape[1]
+    order = np.tile(np.arange(m), (len(segments), 1))
+    sign = np.ones((len(segments), m), dtype=np.int8)
+    for s, (a, b) in enumerate(segments):
+        order[s, a:b] = np.arange(b - 1, a - 1, -1)
+        sign[s, a:b] = -1
+    step = max(1, _PART_ROWS // len(segments))
+    for start in range(0, len(level), step):
+        yield (level[start : start + step, order] * sign).reshape(-1, m)
+
+
+def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[np.ndarray]:
+    """
+    M_inside of an `engine` level, in parts: `inside` entries of every row
+    are split into monotone pairs, and the segment between two cuts is
+    reversed and negated, where exactly `inside` of the cuts sit between
+    the halves of a split entry and the rest fall between entries (empty
+    segments included).  For pancakes the left cut is pinned at position 0.
+    """
+    from . import engine
+
+    pinned = family is Family.PANCAKE
+    if inside == 0:
+        m = level.shape[1]
+        if pinned:
+            ends = [(0, b) for b in range(m + 1)]
+        else:  # one empty segment, (0, 0), stands for them all
+            ends = [(0, 0)] + [(a, b) for a in range(m) for b in range(a + 1, m + 1)]
+        yield from _reverse_segments(level, ends)
+    elif inside == 1:
+        for j in range(level.shape[1]):
+            once = engine.split_column(level, j)
+            t = j + 1  # the cut between the halves of entry j
+            ends = [(0, t)] if pinned else [(min(b, t), max(b, t)) for b in range(once.shape[1] + 1)]
+            yield from _reverse_segments(once, ends)
+    else:
+        # j == i + 1 is the second half of entry i, so splitting it again
+        # gives a block of three.
+        for i in range(level.shape[1]):
+            once = engine.split_column(level, i)
+            for j in range(i + 1, once.shape[1]):
+                yield from _reverse_segments(engine.split_column(once, j), [(i + 1, j + 1)])
+
+
 def _grow(level: np.ndarray, family: Family) -> np.ndarray:
     """
     One recursion step on an `engine` level: split a block at each of two
     cuts and reverse the segment between them, for every row at once.  For
-    reversals the left cut follows a split of entry i; for pancakes it is
-    pinned at position 0, with no first split.
+    reversals both cuts sit inside split entries; for pancakes the left cut
+    is pinned at position 0, with no first split.
     """
     from . import engine
 
-    if family is Family.PANCAKE:
-        starts = [(level, 0)]
-    else:
-        starts = [(engine.split_column(level, i), i + 1) for i in range(level.shape[1])]
-    grown = []
-    # For reversals, j == s is the second half of the block split at the
-    # left cut, so splitting it again gives a block of three.
-    for once, s in starts:
-        for j in range(s, once.shape[1]):
-            twice = engine.split_column(once, j)
-            twice[:, s : j + 1] = -twice[:, s : j + 1][:, ::-1]
-            grown.append(twice)
-    return engine.unique_rows(grown)
+    return engine.unique_rows(_split_moves(level, family, _MAX_INSIDE[family]))
+
+
+def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.ndarray:
+    """D_k(m) from the levels of D_{k-1} (length -> level): the union of
+    M_c(D_{k-1}(m - c)) over the cuts c that can sit inside a split entry."""
+    from . import engine
+
+    parts = (_split_moves(below[m - c], family, c) for c in range(_MAX_INSIDE[family] + 1) if m - c in below)
+    return engine.unique_rows(part for moved in parts for part in moved)
+
+
+def _step(below: dict[int, np.ndarray], family: Family) -> Iterator[np.ndarray]:
+    """
+    The levels of D_k, longest first, from those of D_{k-1}: first Pi_k,
+    grown from the top level of D_{k-1}, then D_k(m) for every shorter m.
+    Each level of `below` is removed as soon as the level of D_k of its
+    length is built, and no level is held here once it is yielded.
+    """
+    top = max(below)
+    yield _grow(below[top], family)
+    for m in range(top + _MAX_INSIDE[family] - 1, 0, -1):
+        # a list emptied by the yield, so this frame holds no reference
+        built = [_downset_level(below, m, family)]
+        below.pop(m, None)
+        yield built.pop()
+
+
+def _downset(family: Family, k: int) -> Iterator[np.ndarray]:
+    """
+    The levels of the downset of Pi_k, longest first, Pi_k itself the
+    first.  D_0 = {1}, and each D_j is grown whole from D_{j-1} except
+    D_k, which is built one level at a time as it is consumed.
+    """
+    from . import engine
+
+    levels: Iterator[np.ndarray] = iter([engine.rows([(1,)], 1)])
+    for _ in range(k):
+        levels = _step({level.shape[1]: level for level in levels}, family)
+    return levels
 
 
 def generator_set(family: Family, k: int) -> np.ndarray:
@@ -159,13 +264,8 @@ def distance_histogram(
     if path is not None and path.exists():
         hist, size = cache.read_histogram(path), None
     else:
-        generators = [generator_set(family, k)]
-        size = len(generators[0])
-        if path is not None and k >= 1:
-            cache.write_levels(cache.pi_path(cache_dir, family, k), generators)
-        # pop() leaves no name here bound to Pi_k, so the closure can free
-        # it once it has expanded it.
-        hist = gridclass.closure_histogram_rows(generators.pop())
+        export = None if path is None or k == 0 else cache.pi_path(cache_dir, family, k)
+        hist, size = _computed_histogram(family, k, export)
     # A stored histogram carries no |Pi_k| of its own, so only its top
     # length is checked.
     top = max(hist.counts.items(), default=(0, 0))  # (longest length, its count)
@@ -179,6 +279,30 @@ def distance_histogram(
         cache.write_histogram(path, hist)
     _HIST_MEMO[key] = hist
     return hist
+
+
+def _computed_histogram(family: Family, k: int, export: Path | None) -> tuple[gridclass.LengthHistogram, int]:
+    """
+    The compact rows of each level of the downset of Pi_k, counted as the
+    levels are built and then dropped, and |Pi_k|; Pi_k, the first level,
+    is written to `export` first if that is given.
+    """
+    from . import engine
+
+    counts: dict[int, int] = {}
+    size = 0
+    # not enumerate(), whose reused result tuple would keep each level
+    # alive while the next one is built
+    for level in _downset(family, k):
+        if not size:  # Pi_k, never empty
+            size = len(level)
+            if export is not None:
+                cache.write_levels(export, [level])
+        count = int(engine.compact_mask(level).sum())
+        if count:
+            counts[level.shape[1]] = count
+        del level  # before the next level is built
+    return gridclass.LengthHistogram(counts, True), size
 
 
 def generator_count(family: Family, k: int, cache_dir: Path | None = None) -> int:

@@ -1,5 +1,6 @@
 """
-The array engine behind generator growth and the containment closure.
+The array engine behind generator and downset growth and the
+containment closure.
 
 A level is a 2-D `int8` numpy array with one row per signed permutation,
 its entries the signed values themselves, so every row has the same
@@ -32,7 +33,7 @@ queries answered from the store never load it.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -144,34 +145,49 @@ def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
     return columns.T
 
 
-def unique_rows(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """The distinct rows of levels of one length, in lexicographic order."""
-    found = np.concatenate([keys(p) for p in parts])
-    found.sort()
-    return from_keys(distinct(found), parts[0].shape[1])
+def unique_rows(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """
+    The distinct rows of levels of one length (at least one level), in
+    lexicographic order.  The parts' keys are gathered in a batch, and a
+    batch is sorted, deduplicated and merged into the result once it
+    outgrows it, so the temporaries stay within a few times the size of
+    the result however many rows the parts hold.
+    """
+    found = np.empty(0, dtype=np.int64)
+    batch: list[np.ndarray] = []
+    batched = 0
+    for part in parts:
+        m = part.shape[1]
+        batch.append(keys(part))
+        batched += len(part)
+        del part
+        if batched > len(found):
+            found = _merged(found, batch)
+            batched = 0
+    return from_keys(_merged(found, batch) if batch else found, m)
+
+
+def _merged(found: np.ndarray, batch: list[np.ndarray]) -> np.ndarray:
+    """The distinct keys of sorted, distinct `found` and of the batch,
+    which is emptied."""
+    new = np.concatenate(batch)
+    batch.clear()
+    new.sort()
+    new = distinct(new)
+    merged = np.concatenate((found, new))
+    del new
+    # two sorted runs, which the stable sort (timsort) merges in one pass
+    merged.sort(kind="stable")
+    return distinct(merged)
 
 
 def expand(level: np.ndarray) -> np.ndarray:
     """
-    The distinct single deletions of every row, in lexicographic order.
-    The deletions of each column are keyed, deduplicated and merged into
-    the result before the next column, and keyed in blocks of rows, so the
-    temporaries stay within a few times the size of the two levels.
+    The distinct single deletions of every row, in lexicographic order,
+    deleted one column and one block of rows at a time.
     """
-    n, m = level.shape
-    found = np.empty(0, dtype=np.int64)
-    for i in range(m):
-        deleted = np.empty(n, dtype=np.int64)
-        for start in range(0, n, _BLOCK_ROWS):
-            block = level[start : start + _BLOCK_ROWS]
-            deleted[start : start + len(block)] = keys(delete_column(block, i))
-        deleted.sort()
-        # Rebinding frees each array once it has been merged, so at most
-        # the level and two sets of keys are alive at once.
-        deleted = distinct(deleted)
-        found = np.concatenate((found, deleted))
-        del deleted
-        # two sorted runs, which the stable sort (timsort) merges in one pass
-        found.sort(kind="stable")
-        found = distinct(found)
-    return from_keys(found, m - 1)
+    return unique_rows(
+        delete_column(level[start : start + _BLOCK_ROWS], i)
+        for i in range(level.shape[1])
+        for start in range(0, len(level), _BLOCK_ROWS)
+    )

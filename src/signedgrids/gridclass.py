@@ -2,11 +2,13 @@
 Closure of a set of signed permutations under containment, compact
 representative extraction, and the enumerating polynomial.
 
-The closure walks the union of downsets by repeated single-entry deletion.
-Because deletion drops the length by exactly one, the global visited set
-splits into per-length levels and each permutation is expanded exactly
-once: the closure holds only two adjacent levels at a time, which is what
-makes the large distance classes fit in memory.  Each level is an `int8`
+The closure walks the union of downsets of arbitrary generators by
+repeated single-entry deletion.  Because deletion drops the length by
+exactly one, the global visited set splits into per-length levels and each
+permutation is expanded exactly once: the closure holds only two adjacent
+levels at a time.  The distance classes do not come through here:
+`distance` grows their downsets move by move, which makes far fewer
+candidates than deleting each entry of each level.  Each level is an `int8`
 array of the `engine` module, one row per permutation, so the deletions,
 their deduplication and the compactness scan run on whole levels in
 numpy; permutations are limited to `engine.MAX_LENGTH` (13) entries.
@@ -90,17 +92,6 @@ def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:
     the set; this is the memory-friendly path for large distance classes.
     """
     return LengthHistogram(_closure(_seed_levels(perms), None), True)
-
-
-def closure_histogram_rows(level: np.ndarray) -> LengthHistogram:
-    """
-    As `closure_histogram`, taking the distinct permutations of one length
-    as an `engine` level.  A level passed by its only reference is freed
-    as soon as the closure has expanded it.
-    """
-    seeds = {level.shape[1]: level}
-    del level
-    return LengthHistogram(_closure(seeds, None), True)
 
 
 def length_histogram(members: Iterable[SignedPerm]) -> LengthHistogram:

@@ -264,10 +264,8 @@ def format_perm(pi: SignedPerm) -> str:
 # fit.  The store's `.perms` files are read through it.  This section is
 # the only code that knows the offset; other modules use these primitives:
 #
-#   pack_perm / unpack_perm        tuple <-> bytes
 #   parse_packed                   one line of the text encoding -> bytes
-
-_MAX_PACKED_LEN = 127
+#   unpack_perm                    bytes -> tuple
 
 _CODES = bytes(range(256))
 
@@ -278,13 +276,6 @@ _ENTRY_CODE = {str(x): c for c, x in enumerate(_ENTRY) if x}
 # Packed bytes are a signed permutation iff mapped through _ABS_TABLE
 # (|x| + 128) and sorted they run 129, 130, ...
 _ABS_TABLE = bytes(128 + abs(c - 128) if c else 0 for c in range(256))
-
-
-def pack_perm(pi: SignedPerm) -> bytes:
-    """Encode a signed permutation of length <= 127 as bytes."""
-    if len(pi) > _MAX_PACKED_LEN:
-        raise ValueError(f"length {len(pi)} exceeds the packed-encoding limit {_MAX_PACKED_LEN}")
-    return bytes(x + 128 for x in pi)
 
 
 def unpack_perm(packed: bytes) -> SignedPerm:

@@ -8,7 +8,7 @@ from signedgrids import cache, engine
 from signedgrids.cli import main
 from signedgrids.distance import Family, generator_set
 from signedgrids.gridclass import LengthHistogram, permset_to_lines
-from signedgrids.perm import all_perms, pack_perm
+from signedgrids.perm import all_perms, format_perm, parse_packed
 
 
 class TestPermsetFiles:
@@ -143,7 +143,7 @@ class TestPackedFiles:
         members = frozenset({(1, -2), (-1,), (2, -1, 3), (-3, 1, -2)})
         path = tmp_path / "p.perms"
         cache.write_permset(path, members)
-        assert cache.read_packed(path) == {pack_perm(p) for p in members}
+        assert cache.read_packed(path) == {parse_packed(format_perm(p)) for p in members}
         assert cache.read_permset(path) == members
 
     def test_same_bytes_as_tuple_writer(self, tmp_path):

@@ -120,20 +120,29 @@ class TestDistanceCommands:
         assert "# |Pi_3| = 6" in out
 
     def test_verbose_without_store_grows_each_level_once(self, capsys, monkeypatch):
-        grown = []
-        grow = distance._grow
+        # Step j builds D_j(m), the length-m members of the downset of
+        # Pi_j, for m = j + 1 (Pi_j, by `_grow`) down to 1, each once.
+        steps, built = [], []
+        grow, level_of = distance._grow, distance._downset_level
 
-        def counting(level, family):
-            grown.append(family)
-            return grow(level, family)
+        def counting_grow(level, family):
+            steps.append(family)
+            grown = grow(level, family)
+            built.append((len(steps), grown.shape[1]))
+            return grown
+
+        def counting_level(below, m, family):
+            built.append((len(steps), m))
+            return level_of(below, m, family)
 
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        monkeypatch.setattr(distance, "_grow", counting)
+        monkeypatch.setattr(distance, "_grow", counting_grow)
+        monkeypatch.setattr(distance, "_downset_level", counting_level)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, _ = run(capsys, "--verbose", "pancake", "--k", "5")
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_5| = 120"
-        assert len(grown) == 5
+        assert built == [(j, m) for j in range(1, 6) for m in range(j + 1, 0, -1)]
 
 
 class TestCache:

@@ -3,6 +3,7 @@ import math
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -19,7 +20,7 @@ from signedgrids.distance import (
     reversal_pi,
     sorting_sequence,
 )
-from signedgrids.perm import identity, inflate, is_compact, pack_perm, unpack_perm
+from signedgrids.perm import format_perm, identity, inflate, is_compact, parse_packed, unpack_perm
 from signedgrids.poly import Polynomial, format_coeff_array
 
 import oracles
@@ -72,48 +73,83 @@ class TestGeneratorCheck:
     @pytest.mark.parametrize("extra", [(1, 2), (2, -1, 3)], ids=["non-compact", "too-long"])
     def test_extra_member_rejected_before_store(self, tmp_path, monkeypatch, extra):
         grow = distance._grow
+        tops = []
 
         def grow_one_more(level, family):
             grown = engine.to_tuples(grow(level, family))
             # the rows of a level share one length, so a longer member
             # can only come as a level of its own length
             members = grown + [extra] if len(extra) == len(grown[0]) else [extra]
-            return engine.rows(members, len(extra))
+            tops.append(engine.rows(members, len(extra)))
+            return tops[-1]
 
         monkeypatch.setattr(distance, "_grow", grow_one_more)
         with pytest.raises(AssertionError, match="Pi_1"):
             distance_histogram(Family.PANCAKE, 1, tmp_path)
+        # the patched step built the top level of the class, Pi_1
+        assert len(tops) == 1 and extra in engine.to_tuples(tops[0])
         assert not (tmp_path / "pancake" / "S_1.hist").exists()
 
-    def test_generators_freed_before_closure(self, monkeypatch):
-        # The closure's top level is Pi_k itself, not a copy, and nothing
-        # outside the closure holds it, so it is freed once expanded.
-        refs, lengths = [], []
-        grown = distance.generator_set
-        closure = gridclass._closure
-        expand = engine.expand
+    def test_downset_walk_frees_each_level(self, monkeypatch):
+        # While D_j(m) is built, the only levels alive are those of D_{j-1}
+        # no longer than m and, except on the last step, the longer levels
+        # of D_j itself: D_{j-1}(m) is dropped once D_j(m) is built, D_{j-1}
+        # once D_j is whole, and the last step keeps no level it has yielded.
+        k = 3
+        refs = {}  # (j, m) -> weak reference to D_j(m)
+        built = []
+        grow, level_of = distance._grow, distance._downset_level
 
-        def recording(family, k):
-            level = grown(family, k)
-            refs.append(weakref.ref(level))
+        def alive():
+            return {key for key, ref in refs.items() if ref() is not None}
+
+        def check(j, m):
+            older = {(j - 1, shorter) for shorter in range(1, m + 1)}
+            longer = {(j, m2) for m2 in range(m + 1, 2 * j + 2)} if j < k else set()
+            assert alive() <= older | longer, f"D_{j}({m})"
+            built.append((j, m))
+
+        def recording_grow(level, family):
+            j = (level.shape[1] + 1) // 2  # the top of D_{j-1} has length 2j - 1
+            check(j, 2 * j + 1)
+            grown = grow(level, family)
+            refs[j, 2 * j + 1] = weakref.ref(grown)
+            return grown
+
+        def recording_level(below, m, family):
+            j = built[-1][0]
+            check(j, m)
+            level = level_of(below, m, family)
+            refs[j, m] = weakref.ref(level)
             return level
 
-        def checking_closure(seeds, collect):
-            assert seeds[5] is refs[0](), "the closure got a copy of Pi_k"
-            return closure(seeds, collect)
-
-        def checking_expand(level):
-            lengths.append(level.shape[1])
-            if level.shape[1] < 5:
-                assert refs[0]() is None, "Pi_k is still referenced below the top level"
-            return expand(level)
-
-        monkeypatch.setattr(distance, "generator_set", recording)
-        monkeypatch.setattr(gridclass, "_closure", checking_closure)
-        monkeypatch.setattr(engine, "expand", checking_expand)
+        monkeypatch.setattr(distance, "_grow", recording_grow)
+        monkeypatch.setattr(distance, "_downset_level", recording_level)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
-        assert distance_histogram(Family.REVERSAL, 2).counts[5] == 4
-        assert lengths == [5, 4, 3, 2]
+        assert distance_histogram(Family.REVERSAL, k).counts[2 * k + 1] == 35
+        assert built == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
+        assert alive() == set()
+
+
+@pytest.mark.parametrize(
+    "family,k",
+    [
+        *((Family.PANCAKE, k) for k in range(9)),
+        *((Family.REVERSAL, k) for k in range(6)),
+        pytest.param(Family.PANCAKE, 9, marks=pytest.mark.stretch),
+    ],
+    ids=str,
+)
+def test_downset_levels_equal_deletion_closure(family, k):
+    # every level of the downset grown move by move is, row for row, the
+    # level that deleting single entries from Pi_k reaches
+    expected = [distance.generator_set(family, k)]
+    while expected[-1].shape[1] > 1:
+        expected.append(engine.expand(expected[-1]))
+    levels = list(distance._downset(family, k))
+    assert [level.shape for level in levels] == [level.shape for level in expected]
+    for got, want in zip(levels, expected):
+        assert np.array_equal(got, want), f"{family.value} k={k}, length {want.shape[1]}"
 
 
 class TestDistancePolynomial:
@@ -242,7 +278,7 @@ def _shared_entries(members) -> bool:
         lambda: pancake_pi(6),
         lambda: reversal_pi(3),
         lambda: gridclass.complete_and_compact({(-8, 1, -7, 2, -6, 3, -5, 4)}),
-        lambda: [unpack_perm(pack_perm(p)) for p in [(-7, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, -7)]],
+        lambda: [unpack_perm(parse_packed(format_perm(p))) for p in [(-7, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, -7)]],
     ],
     ids=["pancake_pi", "reversal_pi", "complete_and_compact", "unpack_perm"],
 )

@@ -116,6 +116,11 @@ def test_numpy_stays_off_the_warm_path(tmp_path):
 
 
 def test_oracle_keeps_its_own_moves():
-    # the BFS checks growth and closure, so it shares none of their move code
+    # the BFS checks growth, the downset walk and the closure, so it shares
+    # none of their move code
     source = (ROOT / "src" / "signedgrids" / "oracle.py").read_text()
-    assert re.findall(r"\b(?:delete_column|split_column|expand|compact_mask|_grow)\b", source) == []
+    names = "|".join(
+        ["delete_column", "split_column", "expand", "compact_mask"]
+        + ["_grow", "_reverse_segments", "_split_moves", "_downset_level", "_step", "_downset"]
+    )
+    assert re.findall(rf"\b(?:{names})\b", source) == []
