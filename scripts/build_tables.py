@@ -4,9 +4,10 @@ Recompute the distance-class polynomial tables and report measured sizes.
 
 Prints, for each family and k, the generator-set cardinality |Pi_k| (the
 top entry of the length histogram), the number of compact representatives
-|S_k|, the wall-clock time, and the exact coefficient array.  The
-burnt-pancake run covers k <= 8 by default; pass --stretch for k = 9 and
-10 (about 40 s and 0.5 GB of RAM on 2 cores).  With --cache-dir the histograms
+|S_k|, the wall-clock time, the process's peak RSS so far, and the exact
+coefficient array.  The burnt-pancake run covers k <= 8 by default; pass
+--stretch for k = 9 and 10 (about 6 s and 0.33 GB of RAM in all, without
+a store, on a 2-core Xeon).  With --cache-dir the histograms
 are read from that store when present; each one computed is written to
 it, with its generator set Pi_k as an export that is never read back.
 
@@ -14,6 +15,7 @@ Usage:
     python scripts/build_tables.py [--stretch] [--cache-dir DIR]
 """
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -22,6 +24,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from signedgrids.distance import Family, distance_histogram, distance_polynomial, generator_count  # noqa: E402
 from signedgrids.poly import format_coeff_array  # noqa: E402
+
+
+def peak_rss_mb() -> float:
+    """The peak resident set size of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run_family(family: Family, k_max: int, cache_dir: Path | None) -> None:
@@ -33,7 +40,7 @@ def run_family(family: Family, k_max: int, cache_dir: Path | None) -> None:
         hist = distance_histogram(family, k, cache_dir)
         print(
             f"k={k:>2}  |Pi_k|={generator_count(family, k, cache_dir):>8}  "
-            f"|S_k|={hist.total():>9}  total={elapsed:7.2f}s"
+            f"|S_k|={hist.total():>9}  total={elapsed:7.2f}s  peak RSS={peak_rss_mb():7.1f} MB"
         )
         print(f"      {format_coeff_array(polynomial)}")
 

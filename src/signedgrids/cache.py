@@ -56,11 +56,11 @@ def _read_lines(path: Path, header: str) -> list[str]:
     return lines[1:]
 
 
-def _write(path: Path, chunks: Iterable[str]) -> None:
+def _write(path: Path, chunks: Iterable[bytes]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -73,40 +73,41 @@ def write_levels(path: Path, levels: Iterable[np.ndarray]) -> None:
     the PermSet text format, sorted by (entry count, text) as
     `gridclass.permset_to_lines` sorts."""
     blocks = map(_level_text, sorted(levels, key=lambda level: level.shape[1]))
-    _write(path, itertools.chain([PERMS_HEADER + "\n"], *blocks))
+    _write(path, itertools.chain([(PERMS_HEADER + "\n").encode()], *blocks))
 
 
-def _level_text(level: np.ndarray) -> Iterator[str]:
-    """The lines of one level in text order, a block of rows at a time.
+def _level_text(level: np.ndarray) -> Iterator[bytes]:
+    """The lines of one level in text order, as bytes, a block of rows at
+    a time.
 
     Rows of one length sort as text exactly as the sequences of their
     entries' ranks among the entry texts sort: where one entry's text is a
     prefix of another's, a space or the line end follows it, and both sort
-    before every digit.  So the rows are sorted on the keys of their rank
-    sequences and written through a table from rank to text."""
+    before every digit.  So the rows' rank sequences are sorted
+    (`np.lexsort`) and written through a table from (last column, rank) to
+    the entry's text and the space or line end after it, padded with zero
+    bytes to one width; the padding is then dropped."""
     import numpy as np
-
-    from . import engine
 
     n, m = level.shape
     if m == 0:
-        yield "\n" * n
+        yield b"\n" * n
         return
     texts = sorted((str(x) for x in range(-m, m + 1) if x))
-    # rank r is stored as r - m, in the -m..m range of a length-m level
     rank = np.zeros(2 * m + 1, dtype=np.int8)
     for r, text in enumerate(texts):
-        rank[int(text) + m] = r - m
-    keys = engine.keys(rank[level + m])
-    keys.sort()
-    ranked = engine.from_keys(keys, m)
-    # table[last, r]: the text of rank r - m, then a space or, in the last
-    # column, the line end
-    table = np.array([[t + " " for t in texts], [t + "\n" for t in texts]], dtype=object)
-    last = np.zeros(m, dtype=np.intp)
-    last[-1] = 1
+        rank[int(text) + m] = r
+    ranked = rank[level + m]
+    # lexsort's last key is the most significant
+    ranked = ranked[np.lexsort(ranked.T[::-1])]
+    # rank r in the last column is looked up as r + 2m
+    ranked[:, -1] += len(texts)
+    tokens = [(t + " ").encode() for t in texts] + [(t + "\n").encode() for t in texts]
+    table = np.zeros((len(tokens), max(map(len, tokens))), dtype=np.uint8)
+    for i, token in enumerate(tokens):
+        table[i, : len(token)] = list(token)
     for start in range(0, n, _BLOCK_ROWS):
-        yield "".join(table[last, ranked[start : start + _BLOCK_ROWS] + m].ravel().tolist())
+        yield table.take(ranked[start : start + _BLOCK_ROWS], axis=0).tobytes().translate(None, b"\0")
 
 
 def read_packed(path: Path) -> set[bytes]:
@@ -140,7 +141,7 @@ def read_permset(path: Path) -> PermSet:
 def write_histogram(path: Path, hist: LengthHistogram) -> None:
     lines = [HIST_HEADER, f"epsilon {1 if hist.has_epsilon else 0}"]
     lines.extend(f"{m} {hist.counts[m]}" for m in sorted(hist.counts))
-    _write(path, [line + "\n" for line in lines])
+    _write(path, [(line + "\n").encode() for line in lines])
 
 
 def read_histogram(path: Path) -> LengthHistogram:

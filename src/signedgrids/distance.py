@@ -34,7 +34,11 @@ entries.  So
 where pancakes, whose left cut is pinned at 0, have no M_2, and the top
 level of D_k is Pi_k itself.  Every D_j is grown whole up to D_{k-1}; D_k
 is built top-down, and each of its levels is counted and dropped, as is
-each level of D_{k-1} once the level of D_k of its length is built.
+each level of D_{k-1} once the level of D_k of its length is built.  Below
+Pi_k, each level of D_k leaves the merge as sorted distinct keys
+(`engine.unique_keys`) and its compact rows are counted from them a block
+of rows at a time (`engine.compact_count`): only D_1..D_{k-1} and Pi_k are
+ever decoded whole.
 
 This module holds the whole pipeline, Pi_k and its downset -> histogram ->
 polynomial, and `distance_histogram` is the only function that reads or
@@ -162,42 +166,49 @@ def _grow(level: np.ndarray, family: Family) -> np.ndarray:
 
 
 def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.ndarray:
-    """D_k(m) from the levels of D_{k-1} (length -> level): the union of
-    M_c(D_{k-1}(m - c)) over the cuts c that can sit inside a split entry."""
+    """The sorted distinct keys of D_k(m), from the levels of D_{k-1}
+    (length -> level): the union of M_c(D_{k-1}(m - c)) over the cuts c
+    that can sit inside a split entry."""
     from . import engine
 
     parts = (_split_moves(below[m - c], family, c) for c in range(_MAX_INSIDE[family] + 1) if m - c in below)
-    return engine.unique_rows(part for moved in parts for part in moved)
+    return engine.unique_keys(part for moved in parts for part in moved)
 
 
-def _step(below: dict[int, np.ndarray], family: Family) -> Iterator[np.ndarray]:
+def _step(below: dict[int, np.ndarray], top: int, family: Family) -> Iterator[tuple[int, np.ndarray]]:
     """
-    The levels of D_k, longest first, from those of D_{k-1}: first Pi_k,
-    grown from the top level of D_{k-1}, then D_k(m) for every shorter m.
-    Each level of `below` is removed as soon as the level of D_k of its
-    length is built, and no level is held here once it is yielded.
+    The levels of D_k below its top level Pi_k, of length `top`, from those
+    of D_{k-1}: (m, the sorted distinct keys of D_k(m)) for m = top - 1
+    down to 1.  Each level of `below` is removed as soon as the level of
+    D_k of its length is built, and no level is held here once it is
+    yielded.
     """
-    top = max(below)
-    yield _grow(below[top], family)
-    for m in range(top + _MAX_INSIDE[family] - 1, 0, -1):
+    for m in range(top - 1, 0, -1):
         # a list emptied by the yield, so this frame holds no reference
         built = [_downset_level(below, m, family)]
         below.pop(m, None)
-        yield built.pop()
+        yield m, built.pop()
 
 
-def _downset(family: Family, k: int) -> Iterator[np.ndarray]:
+def _downset(family: Family, k: int) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
     """
-    The levels of the downset of Pi_k, longest first, Pi_k itself the
-    first.  D_0 = {1}, and each D_j is grown whole from D_{j-1} except
-    D_k, which is built one level at a time as it is consumed.
+    Pi_k, and the shorter levels of its downset as `_step` yields them.
+    D_0 = {1}, and each D_j is grown whole from D_{j-1}, its levels below
+    Pi_j decoded from their keys, except D_k, whose levels below Pi_k are
+    built one at a time as they are consumed.
     """
     from . import engine
 
-    levels: Iterator[np.ndarray] = iter([engine.rows([(1,)], 1)])
+    pi = engine.rows([(1,)], 1)
+    shorter: Iterator[tuple[int, np.ndarray]] = iter(())
     for _ in range(k):
-        levels = _step({level.shape[1]: level for level in levels}, family)
-    return levels
+        below = {pi.shape[1]: pi}
+        for m, keys in shorter:
+            below[m] = engine.from_keys(keys, m)
+            del keys  # before the next level is built
+        pi = _grow(pi, family)
+        shorter = _step(below, pi.shape[1], family)
+    return pi, shorter
 
 
 def generator_set(family: Family, k: int) -> np.ndarray:
@@ -285,24 +296,21 @@ def _computed_histogram(family: Family, k: int, export: Path | None) -> tuple[gr
     """
     The compact rows of each level of the downset of Pi_k, counted as the
     levels are built and then dropped, and |Pi_k|; Pi_k, the first level,
-    is written to `export` first if that is given.
+    is written to `export` first if that is given.  The shorter levels are
+    counted from their keys, never decoded whole.
     """
     from . import engine
 
-    counts: dict[int, int] = {}
-    size = 0
-    # not enumerate(), whose reused result tuple would keep each level
-    # alive while the next one is built
-    for level in _downset(family, k):
-        if not size:  # Pi_k, never empty
-            size = len(level)
-            if export is not None:
-                cache.write_levels(export, [level])
-        count = int(engine.compact_mask(level).sum())
-        if count:
-            counts[level.shape[1]] = count
-        del level  # before the next level is built
-    return gridclass.LengthHistogram(counts, True), size
+    pi, shorter = _downset(family, k)
+    size = len(pi)
+    if export is not None:
+        cache.write_levels(export, [pi])
+    counts = {pi.shape[1]: int(engine.compact_mask(pi).sum())}
+    del pi  # before the shorter levels are built
+    for m, keys in shorter:
+        counts[m] = engine.compact_count(keys, m)
+        del keys  # before the next level is built
+    return gridclass.LengthHistogram({m: count for m, count in counts.items() if count}, True), size
 
 
 def generator_count(family: Family, k: int, cache_dir: Path | None = None) -> int:

@@ -14,17 +14,26 @@ length m.  The operators act on all rows at once with int8 arithmetic:
     unique_rows(parts)    the distinct rows of same-length levels
     expand(level)         the distinct single deletions of every row
 
-Rows are compared through mixed-radix `int64` keys: entry x of a row of
-length m is the digit x + m in base 2m + 1, first entry most significant.
-Key order is therefore the lexicographic order of the rows, and keys are
-exact up to MAX_LENGTH entries (27**13 < 2**63).  Distinct rows come from
-an in-place sort of the keys and a neighbour mask, then decoding the keys;
-`np.unique` took over ten times as long on ten million keys.  The codec is
-public for the BFS oracle, which keeps its layers as sorted keys:
+Rows are compared through `int64` keys with 5 bits per entry, first entry
+most significant.  Every entry but the last is stored as x + 16 (3..29
+for |x| <= 13); the last is stored as its sign bit alone (1 for positive),
+because its magnitude is the one that the other entries miss.  That is
+5(m - 1) + 1 bits, 61 at m = MAX_LENGTH, so one layout serves every length
+1..13 and keys are exact.  Key order is the lexicographic order of the
+rows: two rows that agree on all but the last entry have last entries of
+one magnitude, so they differ in its sign.  Keys are only compared between
+rows of one length, and only rows that are signed permutations have keys.
+Distinct rows come from an in-place sort of the keys and a neighbour mask,
+then decoding the keys by shifts and masks; `np.unique` took over ten
+times as long on ten million keys.  The codec is public for the BFS
+oracle, which keeps its layers as sorted keys, and for `distance`, which
+counts the compact rows of most downset levels from their keys:
 
-    keys(level)           the key of every row
-    distinct(keys)        the distinct values of sorted keys
-    from_keys(keys, m)    keys -> a level of length m
+    keys(level)               the key of every row
+    distinct(keys)            the distinct values of sorted keys
+    from_keys(keys, m)        keys -> a level of length m
+    unique_keys(parts)        the sorted distinct keys of same-length levels
+    compact_count(keys, m)    the compact rows among keys, a block at a time
 
 numpy is imported at the top of this module alone; `distance`,
 `gridclass`, `oracle` and `cache` import it only inside the functions that
@@ -46,6 +55,14 @@ MAX_LENGTH = 13
 # become tuples: this bounds the temporaries whatever the level size.
 _BLOCK_ROWS = 1 << 20
 _TUPLE_BLOCK_ROWS = 1 << 14
+# Rows per block when compact rows are counted from keys.
+_COUNT_ROWS = 1 << 16
+
+# The key layout: 5 bits per entry, each entry x but the last stored as
+# x + _OFFSET.
+_BITS = 5
+_MASK = (1 << _BITS) - 1
+_OFFSET = 16
 
 # One int object per entry value: tuples built from these share them, where
 # `tolist()` would allocate a new int for every entry below -5.
@@ -111,15 +128,15 @@ def compact_mask(level: np.ndarray) -> np.ndarray:
 
 
 def keys(level: np.ndarray) -> np.ndarray:
-    """The mixed-radix key of every row."""
+    """The key of every row: 5 bits per entry, x + 16, and the last entry's
+    sign bit."""
     n, m = level.shape
-    base = 2 * m + 1
     out = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        out *= base
-        out += level[:, j]
-    # adding m to every digit at once
-    out += m * (base**m - 1) // (base - 1)
+    for j in range(m - 1):
+        out <<= _BITS
+        out |= level[:, j] + _OFFSET
+    out <<= 1
+    out |= level[:, m - 1] > 0
     return out
 
 
@@ -134,25 +151,51 @@ def distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
-    """Decode keys into a level of length m, stored column by column;
-    `keys` is consumed."""
-    base = 2 * m + 1
+    """Decode keys into a level of length m, stored column by column."""
     columns = np.empty((m, len(keys)), dtype=np.int8)
-    digit = np.empty_like(keys)
-    for j in range(m - 1, -1, -1):
-        np.divmod(keys, base, out=(keys, digit))
-        np.subtract(digit, m, out=columns[j], casting="unsafe")
+    field = np.empty_like(keys)
+    for j in range(m - 1):
+        np.right_shift(keys, _BITS * (m - 2 - j) + 1, out=field)
+        np.bitwise_and(field, _MASK, out=columns[j], casting="unsafe")
+    del field
+    columns[: m - 1] -= _OFFSET
+    # the last entry: its sign bit, times the magnitude the others miss
+    last = columns[m - 1]
+    np.bitwise_and(keys, 1, out=last, casting="unsafe")
+    last *= 2
+    last -= 1
+    last *= m * (m + 1) // 2 - np.abs(columns[: m - 1]).sum(axis=0, dtype=np.int8)
     return columns.T
 
 
+def compact_count(keys: np.ndarray, m: int) -> int:
+    """The number of compact rows among keys of length-m rows, decoded one
+    block of rows at a time, so no whole level is ever decoded."""
+    return sum(
+        int(compact_mask(from_keys(keys[start : start + _COUNT_ROWS], m)).sum())
+        for start in range(0, len(keys), _COUNT_ROWS)
+    )
+
+
+def unique_keys(parts: Iterable[np.ndarray]) -> np.ndarray:
+    """
+    The sorted distinct keys of the rows of levels of one length (at least
+    one level).  The parts' keys are gathered in a batch, and a batch is
+    sorted, deduplicated and merged into the result once it outgrows it,
+    so the temporaries stay within a few times the size of the result
+    however many rows the parts hold.
+    """
+    return _unique(parts)[0]
+
+
 def unique_rows(parts: Iterable[np.ndarray]) -> np.ndarray:
-    """
-    The distinct rows of levels of one length (at least one level), in
-    lexicographic order.  The parts' keys are gathered in a batch, and a
-    batch is sorted, deduplicated and merged into the result once it
-    outgrows it, so the temporaries stay within a few times the size of
-    the result however many rows the parts hold.
-    """
+    """The distinct rows of levels of one length (at least one level), in
+    lexicographic order: `unique_keys`, decoded."""
+    return from_keys(*_unique(parts))
+
+
+def _unique(parts: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The sorted distinct keys of the parts, and their row length."""
     found = np.empty(0, dtype=np.int64)
     batch: list[np.ndarray] = []
     batched = 0
@@ -164,7 +207,7 @@ def unique_rows(parts: Iterable[np.ndarray]) -> np.ndarray:
         if batched > len(found):
             found = _merged(found, batch)
             batched = 0
-    return from_keys(_merged(found, batch) if batch else found, m)
+    return (_merged(found, batch) if batch else found), m
 
 
 def _merged(found: np.ndarray, batch: list[np.ndarray]) -> np.ndarray:

@@ -99,7 +99,7 @@ def bfs_histogram(n: int, family: Family, n_ceiling: int = DEFAULT_N_CEILING) ->
     # A search that counts more states than B_n holds is broken: stop it
     # rather than let it run on.
     while sum(counts) <= total:
-        rows = engine.from_keys(layer.copy(), n)
+        rows = engine.from_keys(layer, n)
         # The images of each move are keyed and merged into the result
         # before the next move's, which bounds the temporaries.  A move is
         # a bijection, so one move's images of distinct rows are distinct.

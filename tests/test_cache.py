@@ -160,6 +160,21 @@ class TestPackedFiles:
         expected = [cache.PERMS_HEADER, *permset_to_lines(members)]
         assert path.read_text() == "".join(line + "\n" for line in expected)
 
+    def test_longest_level_same_bytes_as_tuple_writer(self, tmp_path):
+        # a length-13 level uses every entry -13..13, where "-1", "-10",
+        # ..., "-13" and "1", "10", ..., "13" sort apart from numeric order
+        rng = random.Random(1)
+        members = {tuple(range(1, 14)), tuple(range(-13, 0))}
+        while len(members) < 500:
+            values = rng.sample(range(1, 14), 13)
+            members.add(tuple(v * rng.choice((1, -1)) for v in values))
+        level = engine.unique_rows([engine.rows(members, 13)])
+        assert set(level.ravel().tolist()) == set(range(-13, 14)) - {0}
+        path = tmp_path / "t.perms"
+        cache.write_levels(path, [level])
+        expected = [cache.PERMS_HEADER, *permset_to_lines(members)]
+        assert path.read_text().split("\n") == [*expected, ""]
+
     @pytest.mark.parametrize("body", ["1 3\n", "1 1\n", "0\n", "1 -1\n", "x\n", "1\n\n2 1\n", "+1\n", "01\n"])
     def test_malformed_line_rejected(self, tmp_path, body):
         path = tmp_path / "bad.perms"

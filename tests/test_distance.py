@@ -91,17 +91,21 @@ class TestGeneratorCheck:
         assert not (tmp_path / "pancake" / "S_1.hist").exists()
 
     def test_downset_walk_frees_each_level(self, monkeypatch):
-        # While D_j(m) is built, the only levels alive are those of D_{j-1}
-        # no longer than m and, except on the last step, the longer levels
-        # of D_j itself: D_{j-1}(m) is dropped once D_j(m) is built, D_{j-1}
-        # once D_j is whole, and the last step keeps no level it has yielded.
-        k = 3
-        refs = {}  # (j, m) -> weak reference to D_j(m)
+        # While D_j(m) is built, the only levels alive, as rows or as keys,
+        # are those of D_{j-1} no longer than m and, except on the last
+        # step, the longer levels of D_j itself: D_{j-1}(m) is dropped once
+        # D_j(m) is built, D_{j-1} once D_j is whole, and the last step
+        # keeps no level it has yielded.  The last step decodes Pi_k whole
+        # (in `_grow`) but counts each shorter level from its keys in
+        # blocks of at most `block` rows.
+        k, block = 3, 8
+        refs = {}  # (j, m) -> weak references to D_j(m), as keys and as rows
         built = []
-        grow, level_of = distance._grow, distance._downset_level
+        decoded = []  # (length being built, rows decoded) on the last step
+        grow, level_of, from_keys = distance._grow, distance._downset_level, engine.from_keys
 
         def alive():
-            return {key for key, ref in refs.items() if ref() is not None}
+            return {key for key, held in refs.items() if any(ref() is not None for ref in held)}
 
         def check(j, m):
             older = {(j - 1, shorter) for shorter in range(1, m + 1)}
@@ -109,26 +113,44 @@ class TestGeneratorCheck:
             assert alive() <= older | longer, f"D_{j}({m})"
             built.append((j, m))
 
+        def record(level):
+            refs.setdefault(built[-1], []).append(weakref.ref(level))
+            return level
+
         def recording_grow(level, family):
             j = (level.shape[1] + 1) // 2  # the top of D_{j-1} has length 2j - 1
             check(j, 2 * j + 1)
-            grown = grow(level, family)
-            refs[j, 2 * j + 1] = weakref.ref(grown)
-            return grown
+            return record(grow(level, family))
 
         def recording_level(below, m, family):
             j = built[-1][0]
             check(j, m)
-            level = level_of(below, m, family)
-            refs[j, m] = weakref.ref(level)
-            return level
+            return record(level_of(below, m, family))
+
+        def recording_from_keys(keys, m):
+            j, length = built[-1]
+            if j < k:
+                record(keys)
+                return record(from_keys(keys, m))
+            decoded.append((length, len(keys)))
+            return from_keys(keys, m)
 
         monkeypatch.setattr(distance, "_grow", recording_grow)
         monkeypatch.setattr(distance, "_downset_level", recording_level)
+        monkeypatch.setattr(engine, "from_keys", recording_from_keys)
+        monkeypatch.setattr(engine, "_COUNT_ROWS", block)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
-        assert distance_histogram(Family.REVERSAL, k).counts[2 * k + 1] == 35
+        hist = distance_histogram(Family.REVERSAL, k)
+        assert hist.counts[2 * k + 1] == 35
         assert built == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
         assert alive() == set()
+        # the last step decodes Pi_k once, whole, and every shorter level,
+        # some of them longer than a block, only a block at a time
+        assert [n for m, n in decoded if m == 2 * k + 1] == [35]
+        shorter = [(m, n) for m, n in decoded if m < 2 * k + 1]
+        assert {m for m, _ in shorter} == set(range(1, 2 * k + 1))
+        assert max(n for _, n in shorter) == block
+        assert max(hist.counts.values()) > block
 
 
 @pytest.mark.parametrize(
@@ -142,14 +164,17 @@ class TestGeneratorCheck:
 )
 def test_downset_levels_equal_deletion_closure(family, k):
     # every level of the downset grown move by move is, row for row, the
-    # level that deleting single entries from Pi_k reaches
+    # level that deleting single entries from Pi_k reaches; below Pi_k the
+    # levels come as keys, which are exact, so equal keys are equal rows
     expected = [distance.generator_set(family, k)]
     while expected[-1].shape[1] > 1:
         expected.append(engine.expand(expected[-1]))
-    levels = list(distance._downset(family, k))
-    assert [level.shape for level in levels] == [level.shape for level in expected]
-    for got, want in zip(levels, expected):
-        assert np.array_equal(got, want), f"{family.value} k={k}, length {want.shape[1]}"
+    pi, shorter = distance._downset(family, k)
+    assert np.array_equal(pi, expected[0])
+    levels = list(shorter)
+    assert [m for m, _ in levels] == [level.shape[1] for level in expected[1:]]
+    for (m, keys), want in zip(levels, expected[1:]):
+        assert np.array_equal(keys, engine.keys(want)), f"{family.value} k={k}, length {m}"
 
 
 class TestDistancePolynomial:

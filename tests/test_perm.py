@@ -342,6 +342,21 @@ class TestArrayEngine:
             sizes = [2 if j == i else 1 for j in range(len(p))]
             assert engine.to_tuples(engine.split_column(level, i)) == [inflate(p, sizes)]
 
+    @given(signed_perms(min_len=1, max_len=13))
+    def test_keys_exact_and_in_row_order(self, p):
+        # p, p with one entry negated and p with two adjacent entries
+        # swapped agree on long prefixes; some differ in the last entry's
+        # sign alone, the one field that the key stores as a bit
+        m = len(p)
+        near = {p}
+        for i in range(m):
+            near.add(p[:i] + (-p[i],) + p[i + 1 :])
+            near.add(p[:i] + p[i : i + 2][::-1] + p[i + 2 :])
+        rows = sorted(near)
+        keys = engine.keys(engine.rows(rows, m))
+        assert engine.to_tuples(engine.from_keys(keys, m)) == rows
+        assert all(a < b for a, b in zip(keys.tolist(), keys.tolist()[1:]))
+
     def test_operators_on_a_whole_level(self):
         level = engine.rows(self.LEVEL, 4)
         assert engine.to_tuples(level) == self.LEVEL
