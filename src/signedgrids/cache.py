@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .gridclass import LengthHistogram, PermSet
-from .perm import parse_packed, unpack_perm
+from .perm import parse_canonical
 
 if TYPE_CHECKING:  # `family.value` and array levels only, so no import at run time
     import numpy as np
@@ -110,20 +110,6 @@ def _level_text(level: np.ndarray) -> Iterator[bytes]:
         yield table.take(ranked[start : start + _BLOCK_ROWS], axis=0).tobytes().translate(None, b"\0")
 
 
-def read_packed(path: Path) -> set[bytes]:
-    """Read a PermSet file straight into the packed encoding."""
-    packed: set[bytes] = set()
-    for lineno, line in enumerate(_read_lines(path, PERMS_HEADER), start=1):
-        try:
-            b = parse_packed(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno} after the header: {exc}") from None
-        if not b and lineno != 1:
-            raise ValueError(f"{path}: line {lineno} after the header: the empty permutation may only come first")
-        packed.add(b)
-    return packed
-
-
 def write_permset(path: Path, members: PermSet) -> None:
     """Write tuples of length up to `engine.MAX_LENGTH` (13) through `write_levels`."""
     from . import engine
@@ -135,7 +121,17 @@ def write_permset(path: Path, members: PermSet) -> None:
 
 
 def read_permset(path: Path) -> PermSet:
-    return frozenset(unpack_perm(b) for b in read_packed(path))
+    """Read a PermSet file; every line must be exactly as written."""
+    members = set()
+    for lineno, line in enumerate(_read_lines(path, PERMS_HEADER), start=1):
+        try:
+            p = parse_canonical(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno} after the header: {exc}") from None
+        if not p and lineno != 1:
+            raise ValueError(f"{path}: line {lineno} after the header: the empty permutation may only come first")
+        members.add(p)
+    return frozenset(members)
 
 
 def write_histogram(path: Path, hist: LengthHistogram) -> None:

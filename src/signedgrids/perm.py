@@ -8,7 +8,9 @@ pure and positions are 1-based in every public signature.
 
 The canonical text encoding writes the entries as space-separated signed
 decimal integers (``-2 1 3``); the empty permutation encodes as the empty
-string.
+string.  `format_perm` writes it; `parse_perm` reads it leniently (any
+whitespace, any integer spelling) and `parse_canonical` strictly, as the
+exact inverse of `format_perm`.
 """
 from __future__ import annotations
 
@@ -256,44 +258,21 @@ def format_perm(pi: SignedPerm) -> str:
     return " ".join(str(x) for x in pi)
 
 
-# ---------------------------------------------------------------------------
-# Packed byte encoding.
-#
-# Fixed-width encoding of one permutation as a bytes object: entry x is
-# stored as its code, the byte x + 128, so permutations of length up to 127
-# fit.  The store's `.perms` files are read through it.  This section is
-# the only code that knows the offset; other modules use these primitives:
-#
-#   parse_packed                   one line of the text encoding -> bytes
-#   unpack_perm                    bytes -> tuple
-
-_CODES = bytes(range(256))
-
-# The entry each code encodes, one int object per code; the code of 0 is
-# no entry.
-_ENTRY = tuple(c - 128 for c in range(256))
-_ENTRY_CODE = {str(x): c for c, x in enumerate(_ENTRY) if x}
-# Packed bytes are a signed permutation iff mapped through _ABS_TABLE
-# (|x| + 128) and sorted they run 129, 130, ...
-_ABS_TABLE = bytes(128 + abs(c - 128) if c else 0 for c in range(256))
+# The entry each token of the canonical text encoding stands for, one int
+# object per entry value, for entries x with 1 <= |x| <= 127.
+_ENTRY = {str(x): x for x in range(-127, 127 + 1) if x}
 
 
-def unpack_perm(packed: bytes) -> SignedPerm:
-    """Decode the packed byte encoding back to a tuple; equal entries of
-    any two results are one shared int object."""
-    return tuple(map(_ENTRY.__getitem__, packed))
-
-
-def parse_packed(text: str) -> bytes:
+def parse_canonical(text: str) -> SignedPerm:
     """
-    Parse the canonical text encoding straight to packed bytes.  Stricter
-    than `parse_perm`: the text must be exactly what `format_perm`
-    writes, so ``+1``, ``01`` and doubled spaces are rejected.
+    The exact inverse of `format_perm`: stricter than `parse_perm`, so
+    ``+1``, ``01``, doubled spaces and a trailing space are rejected.
+    Equal entries of any two results are one shared int object.
     """
     try:
-        b = bytes([_ENTRY_CODE[f] for f in text.split(" ")] if text else [])
+        perm = tuple([_ENTRY[f] for f in text.split(" ")]) if text else ()
     except KeyError:
         raise ValueError(f"not a list of nonzero entries in canonical form: {text!r}") from None
-    if bytes(sorted(b.translate(_ABS_TABLE))) != _CODES[129 : 129 + len(b)]:
-        raise ValueError(f"absolute values are not exactly 1..{len(b)}: {text!r}")
-    return b
+    if sorted(map(abs, perm)) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"absolute values are not exactly 1..{len(perm)}: {text!r}")
+    return perm

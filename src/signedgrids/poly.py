@@ -125,21 +125,6 @@ def from_histogram(histogram) -> Polynomial:
     return out
 
 
-def binomial_combination(p: Polynomial) -> dict[int, Fraction]:
-    """
-    Rewrite p as sum_m c_m * C(n-1, m-1) by successive evaluation and
-    peeling; inverse of `from_histogram` whenever p came from one.
-    """
-    terms: dict[int, Fraction] = {}
-    residue = p
-    for m in range(1, p.degree + 2):
-        c = residue(m)
-        if c != 0:
-            terms[m] = c
-            residue = residue - binomial_basis_poly(m).scale(c)
-    return terms
-
-
 def gregory_newton(values: Sequence[int | Fraction]) -> Polynomial:
     """
     Reconstruct an integer-valued polynomial from its values at n = 1..k.

@@ -192,6 +192,23 @@ class TestCache:
         assert (code, out) == (2, "")
         assert "pancake k=4" in err and "leading coefficient" in err
 
+    @pytest.mark.parametrize("family,k,old,new", [("pancake", 3, "2 3", "2 6"), ("reversal", 2, "2 2", "2 6")])
+    def test_exact_rejects_a_shorter_class_larger_than_its_successor(
+        self, capsys, tmp_path, monkeypatch, family, k, old, new
+    ):
+        # the edited S_{k-1}.hist still passes every check on P_{k-1} alone;
+        # only P_k - P_{k-1} shows it, negative at n = 2
+        for j in range(1, k + 1):
+            run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(j))
+        target = tmp_path / family / f"S_{k - 1}.hist"
+        lines = target.read_text().splitlines(keepends=True)
+        target.write_text("".join(new + "\n" if line == old + "\n" else line for line in lines))
+        assert target.read_text() != "".join(lines)
+        monkeypatch.setattr(distance, "_HIST_MEMO", {})
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k), "--exact")
+        assert (code, out) == (2, "")
+        assert f"{family} k={k}: P(2) = -1 is outside 0..2^n n! = 8" in err
+
     def test_env_var_sets_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         code, _, _ = run(capsys, "reversal", "--k", "2")

@@ -20,7 +20,7 @@ from signedgrids.distance import (
     reversal_pi,
     sorting_sequence,
 )
-from signedgrids.perm import format_perm, identity, inflate, is_compact, parse_packed, unpack_perm
+from signedgrids.perm import format_perm, identity, inflate, is_compact, parse_canonical
 from signedgrids.poly import Polynomial, format_coeff_array
 
 import oracles
@@ -303,9 +303,9 @@ def _shared_entries(members) -> bool:
         lambda: pancake_pi(6),
         lambda: reversal_pi(3),
         lambda: gridclass.complete_and_compact({(-8, 1, -7, 2, -6, 3, -5, 4)}),
-        lambda: [unpack_perm(parse_packed(format_perm(p))) for p in [(-7, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, -7)]],
+        lambda: [parse_canonical(format_perm(p)) for p in [(-7, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, -7)]],
     ],
-    ids=["pancake_pi", "reversal_pi", "complete_and_compact", "unpack_perm"],
+    ids=["pancake_pi", "reversal_pi", "complete_and_compact", "parse_canonical"],
 )
 def test_tuples_share_entry_objects(build):
     # CPython caches only -5..256, so without sharing every entry from -6

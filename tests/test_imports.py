@@ -1,6 +1,6 @@
-"""Module boundaries: no private cross-module imports, one owner of the store,
-of the generator sets and of the packed encoding, no reader of `.perms`
-files outside `cache`, and a BFS oracle with its own move code."""
+"""Module boundaries: no private cross-module imports, one owner of the store
+and of the generator sets, no reader of `.perms` files outside `cache`, and a
+BFS oracle with its own move code."""
 import ast
 import os
 import re
@@ -77,12 +77,6 @@ def test_permset_files_read_only_by_cache(path):
     # Pi_k is always grown; `pi_k.perms` is an export the program never reads
     if path.name != "cache.py":
         assert re.findall(r"\bread_(?:packed|permset)\b", path.read_text()) == []
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_packed_offset_known_only_to_perm(path):
-    if path.name != "perm.py":
-        assert re.findall(r"\b128\b", path.read_text()) == []
 
 
 def _numpy_loaded(*argv: str) -> bool:

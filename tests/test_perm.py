@@ -17,11 +17,10 @@ from signedgrids.perm import (
     identity,
     inflate,
     is_compact,
-    parse_packed,
+    parse_canonical,
     parse_perm,
     prefix_reversal,
     standardize,
-    unpack_perm,
 )
 
 import oracles
@@ -304,26 +303,23 @@ class TestTextEncoding:
         assert parse_perm(format_perm(p)) == p
 
 
-class TestPackedEncoding:
+class TestCanonicalParse:
     @given(signed_perms(max_len=8))
     def test_round_trip(self, p):
-        assert unpack_perm(parse_packed(format_perm(p))) == p
+        assert parse_canonical(format_perm(p)) == p
 
     def test_injective_on_small_lengths(self):
         seen = set()
         for n in range(4):
             for p in all_perms(n):
-                b = parse_packed(format_perm(p))
-                assert b not in seen
-                seen.add(b)
+                q = parse_canonical(format_perm(p))
+                assert q not in seen
+                seen.add(q)
 
     @given(signed_perms(max_len=8))
-    def test_primitives_match_tuple_operators(self, p):
-        # entry x is the byte x + 128
-        b = bytes(x + 128 for x in p)
-        assert parse_packed(format_perm(p)) == b
+    def test_trailing_space_rejected(self, p):
         with pytest.raises(ValueError):
-            parse_packed(format_perm(p) + " ")
+            parse_canonical(format_perm(p) + " ")
 
 
 class TestArrayEngine:

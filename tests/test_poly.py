@@ -9,7 +9,6 @@ from signedgrids.poly import (
     ZERO,
     Polynomial,
     binomial_basis_poly,
-    binomial_combination,
     choose_poly,
     format_coeff_array,
     format_latex,
@@ -74,11 +73,6 @@ class TestFromHistogram:
         p = from_histogram(counts)
         for n in range(0, 15):
             assert p(n).denominator == 1
-
-    @given(st.dictionaries(st.integers(1, 7), st.integers(1, 50), max_size=5))
-    def test_binomial_combination_round_trip(self, counts):
-        p = from_histogram(counts)
-        assert binomial_combination(p) == counts
 
 
 class TestEvaluate:
