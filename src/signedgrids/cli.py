@@ -30,6 +30,17 @@ from .perm import compactify, format_perm, parse_perm
 CACHE_DIR_ENV = "SIGNEDGRIDS_CACHE_DIR"
 
 
+def _eval_point(text: str) -> int:
+    """An --eval argument: an integer n >= 1, where every polynomial here is valid."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"the polynomials count permutations of length n >= 1, not n = {n}")
+    return n
+
+
 def _print_poly(p: poly.Polynomial, args: argparse.Namespace) -> None:
     if args.eval_at is not None:
         value = p(args.eval_at)
@@ -129,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_enum.add_mutually_exclusive_group(required=True)
     group.add_argument("--perm", help="one permutation, canonical text encoding")
     group.add_argument("--input", help="PermSet file, one permutation per line")
-    p_enum.add_argument("--eval", dest="eval_at", type=int, default=None, metavar="N")
+    p_enum.add_argument("--eval", dest="eval_at", type=_eval_point, default=None, metavar="N")
     p_enum.set_defaults(run=cmd_enumerate)
 
     for name, family in (("pancake", Family.PANCAKE), ("reversal", Family.REVERSAL)):
         p_fam = sub.add_parser(name, help=f"{family.value} distance-class polynomial")
         p_fam.add_argument("--k", type=int, required=True)
         p_fam.add_argument("--exact", action="store_true", help="distance exactly k instead of at most k")
-        p_fam.add_argument("--eval", dest="eval_at", type=int, default=None, metavar="N")
+        p_fam.add_argument("--eval", dest="eval_at", type=_eval_point, default=None, metavar="N")
         p_fam.add_argument("--k-ceiling", type=int, default=None)
         p_fam.set_defaults(run=cmd_distance, family=family)
 

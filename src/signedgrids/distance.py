@@ -32,13 +32,17 @@ entries.  So
     D_k(m) = M_0(D_{k-1}(m)) | M_1(D_{k-1}(m-1)) | M_2(D_{k-1}(m-2)),
 
 where pancakes, whose left cut is pinned at 0, have no M_2, and the top
-level of D_k is Pi_k itself.  Every D_j is grown whole up to D_{k-1}; D_k
-is built top-down, and each of its levels is counted and dropped, as is
-each level of D_{k-1} once the level of D_k of its length is built.  Below
-Pi_k, each level of D_k leaves the merge as sorted distinct keys
-(`engine.unique_keys`) and its compact rows are counted from them a block
-of rows at a time (`engine.compact_count`): only D_1..D_{k-1} and Pi_k are
-ever decoded whole.
+level of D_k is Pi_k itself, the image of Pi_{k-1} under the M_c with the
+most split entries.  This one step, `_downset_level`, builds every level:
+`generator_set` applies it to top levels alone, and `_downset` builds
+D_1, ..., D_k in turn, each top-down from the one before, dropping each
+level of D_{j-1} once the level of D_j of its length is built.  A level
+leaves the merge as sorted distinct keys (`engine.unique_keys`).  Those
+of D_1..D_{k-1} are decoded whole for the next step; those of D_k, Pi_k
+first, are yielded one level at a time, and the histogram counts their
+compact rows from the keys a block of rows at a time
+(`engine.compact_count`), so no level of D_k is decoded whole except Pi_k
+for the store's export.
 
 This module holds the whole pipeline, Pi_k and its downset -> histogram ->
 polynomial, and `distance_histogram` is the only function that reads or
@@ -153,18 +157,6 @@ def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[np.
                 yield from _reverse_segments(engine.split_column(once, j), [(i + 1, j + 1)])
 
 
-def _grow(level: np.ndarray, family: Family) -> np.ndarray:
-    """
-    One recursion step on an `engine` level: split a block at each of two
-    cuts and reverse the segment between them, for every row at once.  For
-    reversals both cuts sit inside split entries; for pancakes the left cut
-    is pinned at position 0, with no first split.
-    """
-    from . import engine
-
-    return engine.unique_rows(_split_moves(level, family, _MAX_INSIDE[family]))
-
-
 def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.ndarray:
     """The sorted distinct keys of D_k(m), from the levels of D_{k-1}
     (length -> level): the union of M_c(D_{k-1}(m - c)) over the cuts c
@@ -175,51 +167,42 @@ def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.n
     return engine.unique_keys(part for moved in parts for part in moved)
 
 
-def _step(below: dict[int, np.ndarray], top: int, family: Family) -> Iterator[tuple[int, np.ndarray]]:
+def _downset(family: Family, k: int) -> Iterator[tuple[int, np.ndarray]]:
     """
-    The levels of D_k below its top level Pi_k, of length `top`, from those
-    of D_{k-1}: (m, the sorted distinct keys of D_k(m)) for m = top - 1
-    down to 1.  Each level of `below` is removed as soon as the level of
-    D_k of its length is built, and no level is held here once it is
-    yielded.
+    The levels of D_k, the downset of Pi_k: (m, the sorted distinct keys of
+    D_k(m)) for m from the length of Pi_k down to 1, so Pi_k comes first.
+    D_0 = {1}.  D_k is built top-down from the levels of D_{k-1}, as this
+    generator yields them one k lower, each decoded whole, and each level
+    of D_{k-1} is dropped as soon as the level of D_k of its length is
+    built.  No level is held here once it is yielded.
     """
-    for m in range(top - 1, 0, -1):
+    from . import engine
+
+    if k == 0:
+        yield 1, engine.keys(engine.rows([(1,)], 1))
+        return
+    below: dict[int, np.ndarray] = {}
+    for m, keys in _downset(family, k - 1):
+        below[m] = engine.from_keys(keys, m)
+        del keys  # before the next level is built
+    for m in range(max(below) + _MAX_INSIDE[family], 0, -1):
         # a list emptied by the yield, so this frame holds no reference
         built = [_downset_level(below, m, family)]
         below.pop(m, None)
         yield m, built.pop()
 
 
-def _downset(family: Family, k: int) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-    """
-    Pi_k, and the shorter levels of its downset as `_step` yields them.
-    D_0 = {1}, and each D_j is grown whole from D_{j-1}, its levels below
-    Pi_j decoded from their keys, except D_k, whose levels below Pi_k are
-    built one at a time as they are consumed.
-    """
-    from . import engine
-
-    pi = engine.rows([(1,)], 1)
-    shorter: Iterator[tuple[int, np.ndarray]] = iter(())
-    for _ in range(k):
-        below = {pi.shape[1]: pi}
-        for m, keys in shorter:
-            below[m] = engine.from_keys(keys, m)
-            del keys  # before the next level is built
-        pi = _grow(pi, family)
-        shorter = _step(below, pi.shape[1], family)
-    return pi, shorter
-
-
 def generator_set(family: Family, k: int) -> np.ndarray:
-    """Pi_k as an `engine` level, grown from Pi_0; no file is read or written."""
+    """Pi_k as an `engine` level, grown from Pi_0 one top level at a time;
+    no file is read or written."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     from . import engine
 
     level = engine.rows([(1,)], 1)
     for _ in range(k):
-        level = _grow(level, family)
+        m = level.shape[1] + _MAX_INSIDE[family]
+        level = engine.from_keys(_downset_level({level.shape[1]: level}, m, family), m)
     return level
 
 
@@ -294,20 +277,19 @@ def distance_histogram(
 
 def _computed_histogram(family: Family, k: int, export: Path | None) -> tuple[gridclass.LengthHistogram, int]:
     """
-    The compact rows of each level of the downset of Pi_k, counted as the
-    levels are built and then dropped, and |Pi_k|; Pi_k, the first level,
-    is written to `export` first if that is given.  The shorter levels are
-    counted from their keys, never decoded whole.
+    The compact rows of each level of the downset of Pi_k, counted from its
+    keys as the levels are built and then dropped, and |Pi_k|, the size of
+    the first level.  Pi_k is decoded whole only to be written to `export`,
+    if that is given.
     """
     from . import engine
 
-    pi, shorter = _downset(family, k)
-    size = len(pi)
-    if export is not None:
-        cache.write_levels(export, [pi])
-    counts = {pi.shape[1]: int(engine.compact_mask(pi).sum())}
-    del pi  # before the shorter levels are built
-    for m, keys in shorter:
+    counts: dict[int, int] = {}
+    for m, keys in _downset(family, k):
+        if not counts:  # Pi_k
+            size = len(keys)
+            if export is not None:
+                cache.write_levels(export, [engine.from_keys(keys, m)])
         counts[m] = engine.compact_count(keys, m)
         del keys  # before the next level is built
     return gridclass.LengthHistogram({m: count for m, count in counts.items() if count}, True), size

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 
@@ -92,20 +93,14 @@ def binomial_basis_poly(m: int) -> Polynomial:
     """
     if m < 1:
         raise ValueError("block count m must be >= 1 (the empty permutation is handled upstream)")
-    fact = 1
-    for t in range(2, m):
-        fact *= t
-    return _falling_product(range(1, m)).scale(Fraction(1, fact))
+    return _falling_product(range(1, m)).scale(Fraction(1, factorial(m - 1)))
 
 
 def choose_poly(r: int) -> Polynomial:
     """C(n, r) as a polynomial in n."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    fact = 1
-    for t in range(2, r + 1):
-        fact *= t
-    return _falling_product(range(r)).scale(Fraction(1, fact))
+    return _falling_product(range(r)).scale(Fraction(1, factorial(r)))
 
 
 def from_histogram(histogram) -> Polynomial:
@@ -152,18 +147,9 @@ def gregory_newton(values: Sequence[int | Fraction]) -> Polynomial:
         inner = ZERO
         for i in range(k - j + 1):
             sign = -1 if i % 2 else 1
-            inner = inner + choose_poly(i + j).scale(sign * _binom_int(i + j, i))
+            inner = inner + choose_poly(i + j).scale(sign * comb(i + j, i))
         out = out + inner.scale(v)
     return out
-
-
-def _binom_int(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    result = 1
-    for t in range(1, k + 1):
-        result = result * (n - t + 1) // t
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,8 @@ class TestPackedFiles:
 
 
 # sha256 of `write_levels` output for Pi_k grown without a store; the
-# digests come from the per-family growth loops that `distance._grow` replaced.
+# digests come from the per-family growth loops that one shared step
+# (`distance._downset_level` on top levels) replaced.
 GROWN_DIGESTS = {
     (Family.REVERSAL, 6): "fe93c168906cae208c4a7ffcd6e076bb4615a16c82d249d07a66842447869452",
     (Family.PANCAKE, 9): "3388ed16666b69a83afa67be4486b265c17946a148a922253fcf8e57c7d52467",

@@ -7,8 +7,8 @@ from signedgrids import distance
 from signedgrids.cli import CACHE_DIR_ENV, main
 
 
-def _no_growth(level, family):
-    raise AssertionError("Pi_k growth was not expected here")
+def _no_growth(below, m, family):
+    raise AssertionError("downset growth was not expected here")
 
 
 def run(capsys, *argv):
@@ -114,6 +114,22 @@ class TestDistanceCommands:
         assert code == 0
         assert out == "17\n"
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "query",
+        [("enumerate", "--perm", "2 1"), ("pancake", "--k", "2"), ("reversal", "--k", "2", "--exact")],
+        ids=lambda query: query[0],
+    )
+    def test_eval_below_one_refused(self, capsys, monkeypatch, query, n):
+        # every polynomial is valid for n >= 1 only: at n = 0 the class of
+        # "2 1" holds the empty permutation, yet its polynomial gives 0
+        monkeypatch.setattr(distance, "_downset_level", _no_growth)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*query, "--eval", n])
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out) == (2, "")
+        assert "n >= 1" in captured.err
+
     def test_verbose_reports_generator_count(self, capsys):
         code, out, _ = run(capsys, "--verbose", "pancake", "--k", "3")
         assert code == 0
@@ -121,28 +137,21 @@ class TestDistanceCommands:
 
     def test_verbose_without_store_grows_each_level_once(self, capsys, monkeypatch):
         # Step j builds D_j(m), the length-m members of the downset of
-        # Pi_j, for m = j + 1 (Pi_j, by `_grow`) down to 1, each once.
-        steps, built = [], []
-        grow, level_of = distance._grow, distance._downset_level
-
-        def counting_grow(level, family):
-            steps.append(family)
-            grown = grow(level, family)
-            built.append((len(steps), grown.shape[1]))
-            return grown
+        # Pi_j, for m = j + 1 (Pi_j) down to 1, each once.
+        built = []
+        level_of = distance._downset_level
 
         def counting_level(below, m, family):
-            built.append((len(steps), m))
+            built.append(m)
             return level_of(below, m, family)
 
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        monkeypatch.setattr(distance, "_grow", counting_grow)
         monkeypatch.setattr(distance, "_downset_level", counting_level)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, _ = run(capsys, "--verbose", "pancake", "--k", "5")
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_5| = 120"
-        assert built == [(j, m) for j in range(1, 6) for m in range(j + 1, 0, -1)]
+        assert built == [m for j in range(1, 6) for m in range(j + 1, 0, -1)]
 
 
 class TestCache:
@@ -219,7 +228,7 @@ class TestCache:
         run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
         for path in (tmp_path / "pancake").glob("pi_*.perms"):
             path.unlink()
-        monkeypatch.setattr(distance, "_grow", _no_growth)
+        monkeypatch.setattr(distance, "_downset_level", _no_growth)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", "4")
         assert code == 0

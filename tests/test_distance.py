@@ -72,59 +72,55 @@ class TestReversalPi:
 class TestGeneratorCheck:
     @pytest.mark.parametrize("extra", [(1, 2), (2, -1, 3)], ids=["non-compact", "too-long"])
     def test_extra_member_rejected_before_store(self, tmp_path, monkeypatch, extra):
-        grow = distance._grow
+        # The mutant step adds `extra` to the level of its length.  The rows
+        # of a level share one length, so a longer member needs a longer top
+        # level: for it, a pancake flip may also cut inside two split entries.
+        level_of = distance._downset_level
         tops = []
 
-        def grow_one_more(level, family):
-            grown = engine.to_tuples(grow(level, family))
-            # the rows of a level share one length, so a longer member
-            # can only come as a level of its own length
-            members = grown + [extra] if len(extra) == len(grown[0]) else [extra]
-            tops.append(engine.rows(members, len(extra)))
-            return tops[-1]
+        def one_more(below, m, family):
+            keys = level_of(below, m, family)
+            if m == len(extra):
+                tops.append(sorted({*engine.to_tuples(engine.from_keys(keys, m)), extra}))
+                keys = engine.keys(engine.rows(tops[-1], m))
+            return keys
 
-        monkeypatch.setattr(distance, "_grow", grow_one_more)
+        monkeypatch.setattr(distance, "_downset_level", one_more)
+        monkeypatch.setitem(distance._MAX_INSIDE, Family.PANCAKE, len(extra) - 1)
         with pytest.raises(AssertionError, match="Pi_1"):
             distance_histogram(Family.PANCAKE, 1, tmp_path)
         # the patched step built the top level of the class, Pi_1
-        assert len(tops) == 1 and extra in engine.to_tuples(tops[0])
+        assert len(tops) == 1 and extra in tops[0]
         assert not (tmp_path / "pancake" / "S_1.hist").exists()
 
-    def test_downset_walk_frees_each_level(self, monkeypatch):
+    def test_downset_walk_frees_each_level(self, monkeypatch, tmp_path):
         # While D_j(m) is built, the only levels alive, as rows or as keys,
         # are those of D_{j-1} no longer than m and, except on the last
         # step, the longer levels of D_j itself: D_{j-1}(m) is dropped once
         # D_j(m) is built, D_{j-1} once D_j is whole, and the last step
-        # keeps no level it has yielded.  The last step decodes Pi_k whole
-        # (in `_grow`) but counts each shorter level from its keys in
-        # blocks of at most `block` rows.
+        # keeps no level it has yielded.  The last step counts every level,
+        # Pi_k included, from its keys in blocks of at most `block` rows,
+        # and decodes Pi_k whole only for the store's export.
         k, block = 3, 8
         refs = {}  # (j, m) -> weak references to D_j(m), as keys and as rows
-        built = []
-        decoded = []  # (length being built, rows decoded) on the last step
-        grow, level_of, from_keys = distance._grow, distance._downset_level, engine.from_keys
+        built = []  # (j, m), from D_0(1), the base, decoded before any step
+        decoded = []  # (length, rows decoded) on the last step
+        level_of, from_keys = distance._downset_level, engine.from_keys
 
         def alive():
             return {key for key, held in refs.items() if any(ref() is not None for ref in held)}
-
-        def check(j, m):
-            older = {(j - 1, shorter) for shorter in range(1, m + 1)}
-            longer = {(j, m2) for m2 in range(m + 1, 2 * j + 2)} if j < k else set()
-            assert alive() <= older | longer, f"D_{j}({m})"
-            built.append((j, m))
 
         def record(level):
             refs.setdefault(built[-1], []).append(weakref.ref(level))
             return level
 
-        def recording_grow(level, family):
-            j = (level.shape[1] + 1) // 2  # the top of D_{j-1} has length 2j - 1
-            check(j, 2 * j + 1)
-            return record(grow(level, family))
-
         def recording_level(below, m, family):
-            j = built[-1][0]
-            check(j, m)
+            # m falls within a step and rises at the start of the next
+            j = built[-1][0] + (m > built[-1][1])
+            older = {(j - 1, shorter) for shorter in range(1, m + 1)}
+            longer = {(j, m2) for m2 in range(m + 1, 2 * j + 2)} if j < k else set()
+            assert alive() <= older | longer, f"D_{j}({m})"
+            built.append((j, m))
             return record(level_of(below, m, family))
 
         def recording_from_keys(keys, m):
@@ -135,22 +131,22 @@ class TestGeneratorCheck:
             decoded.append((length, len(keys)))
             return from_keys(keys, m)
 
-        monkeypatch.setattr(distance, "_grow", recording_grow)
         monkeypatch.setattr(distance, "_downset_level", recording_level)
         monkeypatch.setattr(engine, "from_keys", recording_from_keys)
         monkeypatch.setattr(engine, "_COUNT_ROWS", block)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
-        hist = distance_histogram(Family.REVERSAL, k)
-        assert hist.counts[2 * k + 1] == 35
-        assert built == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
-        assert alive() == set()
-        # the last step decodes Pi_k once, whole, and every shorter level,
-        # some of them longer than a block, only a block at a time
-        assert [n for m, n in decoded if m == 2 * k + 1] == [35]
-        shorter = [(m, n) for m, n in decoded if m < 2 * k + 1]
-        assert {m for m, _ in shorter} == set(range(1, 2 * k + 1))
-        assert max(n for _, n in shorter) == block
-        assert max(hist.counts.values()) > block
+        for store in (None, tmp_path):
+            refs.clear(), decoded.clear()
+            built[:] = [(0, 1)]
+            hist = distance_histogram(Family.REVERSAL, k, store)
+            assert hist.counts[2 * k + 1] == 35
+            assert built[1:] == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
+            assert alive() == set()
+            # every level of D_k, some of them longer than a block, is
+            # counted a block at a time; only the export decodes Pi_k whole
+            assert {m for m, _ in decoded} == set(range(1, 2 * k + 2))
+            assert [(m, n) for m, n in decoded if n > block] == ([] if store is None else [(2 * k + 1, 35)])
+            assert max(hist.counts.values()) > block
 
 
 @pytest.mark.parametrize(
@@ -163,17 +159,15 @@ class TestGeneratorCheck:
     ids=str,
 )
 def test_downset_levels_equal_deletion_closure(family, k):
-    # every level of the downset grown move by move is, row for row, the
-    # level that deleting single entries from Pi_k reaches; below Pi_k the
-    # levels come as keys, which are exact, so equal keys are equal rows
+    # every level of the downset grown move by move, Pi_k first, is, row
+    # for row, the level that deleting single entries from Pi_k reaches;
+    # the levels come as keys, which are exact, so equal keys are equal rows
     expected = [distance.generator_set(family, k)]
     while expected[-1].shape[1] > 1:
         expected.append(engine.expand(expected[-1]))
-    pi, shorter = distance._downset(family, k)
-    assert np.array_equal(pi, expected[0])
-    levels = list(shorter)
-    assert [m for m, _ in levels] == [level.shape[1] for level in expected[1:]]
-    for (m, keys), want in zip(levels, expected[1:]):
+    levels = list(distance._downset(family, k))
+    assert [m for m, _ in levels] == [level.shape[1] for level in expected]
+    for (m, keys), want in zip(levels, expected):
         assert np.array_equal(keys, engine.keys(want)), f"{family.value} k={k}, length {m}"
 
 

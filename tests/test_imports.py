@@ -112,9 +112,11 @@ def test_numpy_stays_off_the_warm_path(tmp_path):
 def test_oracle_keeps_its_own_moves():
     # the BFS checks growth, the downset walk and the closure, so it shares
     # none of their move code
-    source = (ROOT / "src" / "signedgrids" / "oracle.py").read_text()
-    names = "|".join(
-        ["delete_column", "split_column", "expand", "compact_mask"]
-        + ["_grow", "_reverse_segments", "_split_moves", "_downset_level", "_step", "_downset"]
-    )
-    assert re.findall(rf"\b(?:{names})\b", source) == []
+    package = ROOT / "src" / "signedgrids"
+    source = (package / "oracle.py").read_text()
+    names = ["delete_column", "split_column", "expand", "compact_mask"]
+    names += ["_reverse_segments", "_split_moves", "_downset_level", "_downset"]
+    assert re.findall(rf"\b(?:{'|'.join(names)})\b", source) == []
+    # a renamed or deleted name would leave the guard checking nothing
+    defined = (package / "distance.py").read_text() + (package / "engine.py").read_text()
+    assert [name for name in names if not re.search(rf"^def {name}\(", defined, re.M)] == []

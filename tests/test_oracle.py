@@ -123,10 +123,10 @@ class TestVerify:
         [(Family.PANCAKE, 11, 4), (Family.PANCAKE, 3, 8), (Family.REVERSAL, 6, 4), (Family.REVERSAL, 2, 8)],
     )
     def test_ceilings_refused_before_computing(self, monkeypatch, family, k_max, n_max):
-        def no_growth(level, family):
+        def no_growth(below, m, family):
             raise AssertionError("verify computed before checking its ceilings")
 
-        monkeypatch.setattr(distance, "_grow", no_growth)
+        monkeypatch.setattr(distance, "_downset_level", no_growth)
         monkeypatch.setattr(distance, "_HIST_MEMO", {})
         with pytest.raises(ResourceLimitError, match="ceiling"):
             verify(family, k_max=k_max, n_max=n_max)
