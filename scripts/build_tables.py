@@ -5,11 +5,12 @@ Recompute the distance-class polynomial tables and report measured sizes.
 Prints, for each family and k, the generator-set cardinality |Pi_k| (the
 top entry of the length histogram), the number of compact representatives
 |S_k|, the wall-clock time, the process's peak RSS so far, and the exact
-coefficient array.  The burnt-pancake run covers k <= 8 by default; pass
---stretch for k = 9 and 10 (about 6 s and 0.33 GB of RAM in all, without
-a store, on a 2-core Xeon).  With --cache-dir the histograms
-are read from that store when present; each one computed is written to
-it, with its generator set Pi_k as an export that is never read back.
+coefficient array, all from the class's histogram, fetched once.  The
+burnt-pancake run covers k <= 8 by default; pass --stretch for k = 9 and
+10 (about 6 s and 0.33 GB of RAM in all, without a store, on a 2-core
+Xeon).  With --cache-dir the histograms are read from that store when
+present; each one computed is written to it, with its generator set Pi_k
+as an export that is never read back.
 
 Usage:
     python scripts/build_tables.py [--stretch] [--cache-dir DIR]
@@ -22,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from signedgrids.distance import Family, distance_histogram, distance_polynomial, generator_count  # noqa: E402
+from signedgrids.distance import Family, check_k, checked_polynomial, distance_histogram  # noqa: E402
 from signedgrids.poly import format_coeff_array  # noqa: E402
 
 
@@ -34,12 +35,13 @@ def peak_rss_mb() -> float:
 def run_family(family: Family, k_max: int, cache_dir: Path | None) -> None:
     print(f"== {family.value} distance classes, k = 0..{k_max}")
     for k in range(k_max + 1):
+        check_k(family, k)
         t0 = time.perf_counter()
-        polynomial = distance_polynomial(family, k, cache_dir=cache_dir)  # gated by check_polynomial
-        elapsed = time.perf_counter() - t0
         hist = distance_histogram(family, k, cache_dir)
+        polynomial = checked_polynomial(family, k, hist)
+        elapsed = time.perf_counter() - t0
         print(
-            f"k={k:>2}  |Pi_k|={generator_count(family, k, cache_dir):>8}  "
+            f"k={k:>2}  |Pi_k|={hist.counts[max(hist.counts)]:>8}  "
             f"|S_k|={hist.total():>9}  total={elapsed:7.2f}s  peak RSS={peak_rss_mb():7.1f} MB"
         )
         print(f"      {format_coeff_array(polynomial)}")

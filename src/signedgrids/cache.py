@@ -141,7 +141,8 @@ def write_histogram(path: Path, hist: LengthHistogram) -> None:
 
 
 def read_histogram(path: Path) -> LengthHistogram:
-    """Read a histogram file; every line must be exactly as written."""
+    """Read a histogram file; every line must be exactly as written, the
+    lengths strictly increasing."""
     body = _read_lines(path, HIST_HEADER)
     if not body or body[0] not in _EPSILON_LINES:
         raise ValueError(f"{path}: line 1 after the header: expected 'epsilon 0' or 'epsilon 1'")
@@ -151,7 +152,7 @@ def read_histogram(path: Path) -> LengthHistogram:
         if match is None:
             raise ValueError(f"{path}: line {lineno} after the header: two positive integers expected: {line!r}")
         m, count = int(match[1]), int(match[2])
-        if m in counts:
-            raise ValueError(f"{path}: line {lineno} after the header: length {m} appears twice")
+        if m <= max(counts, default=0):
+            raise ValueError(f"{path}: line {lineno} after the header: length {m} comes after {max(counts)}")
         counts[m] = count
     return LengthHistogram(counts, _EPSILON_LINES[body[0]])

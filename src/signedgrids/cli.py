@@ -19,10 +19,11 @@ from . import gridclass, oracle, poly
 from .distance import (
     Family,
     ResourceLimitError,
+    check_k,
     check_polynomial,
+    checked_polynomial,
     distance_histogram,
     distance_polynomial,
-    generator_count,
 )
 from .gridclass import LengthHistogram
 from .perm import compactify, format_perm, parse_perm
@@ -84,13 +85,15 @@ def cmd_distance(args: argparse.Namespace) -> int:
     family, k = args.family, args.k
     if args.exact and k == 0:
         raise ValueError("--exact needs k >= 1")
-    p = distance_polynomial(family, k, args.k_ceiling, args.cache_dir)
+    check_k(family, k, args.k_ceiling)
+    hist = distance_histogram(family, k, args.cache_dir)
+    p = checked_polynomial(family, k, hist)
     if args.exact:
         p = p - distance_polynomial(family, k - 1, args.k_ceiling, args.cache_dir)
         check_polynomial(family, k, p)
     if args.verbose:
-        print(f"# |Pi_{k}| = {generator_count(family, k, args.cache_dir)}")
-        print(_hist_summary(distance_histogram(family, k, args.cache_dir)))
+        print(f"# |Pi_{k}| = {hist.counts[max(hist.counts)]}")
+        print(_hist_summary(hist))
     _print_poly(p, args)
     return 0
 

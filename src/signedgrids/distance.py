@@ -15,8 +15,9 @@ block reversals give members of length 2k+1.  Member counts are measured,
 never assumed: `pancake_pi(k)` deduplicates at every level and callers can
 take `len()` of the result.  Every member is compact and of the longest
 length in its class, so |Pi_k| is the top entry of the class's length
-histogram; `generator_count` reads it there, and every histogram, computed
-or read from the store, is checked against that longest length.
+histogram.  A computed Pi_k is checked for both as soon as it is built,
+before anything is written, and a stored histogram's top length is
+checked when it is read.
 
 The class's histogram counts the compact members of the downset of Pi_k
 (its members and everything they contain), and the same recursion grows
@@ -231,74 +232,57 @@ def _tuples(level: np.ndarray) -> gridclass.PermSet:
     return frozenset(engine.to_tuples(level))
 
 
-# In-process results, keyed by store as well: a hit must not skip the
-# files a caller with a new store expects to be written.
-_HIST_MEMO: dict[tuple[Family, int, Path | None], gridclass.LengthHistogram] = {}
+def _generator_length(family: Family, k: int) -> int:
+    return k + 1 if family is Family.PANCAKE else 2 * k + 1
 
 
-def distance_histogram(
-    family: Family, k: int, cache_dir: Path | None = None
-) -> gridclass.LengthHistogram:
+def distance_histogram(family: Family, k: int, cache_dir: Path | None = None) -> gridclass.LengthHistogram:
     """
     Length histogram of the compact representatives of the distance-<=k
-    class: from memory, else from the store, else computed (and stored).
-    Computing grows Pi_k and, with a store, exports it as `pi_k.perms`
-    (k >= 1), a file the program never reads back.
+    class: read from the store, else computed (and stored).  Computing
+    grows Pi_k and, with a store, exports it as `pi_k.perms` (k >= 1), a
+    file the program never reads back.
 
     Every member of Pi_k is compact and of the family's generator length,
-    the longest in the class, so the top length must be that length and,
-    for a computed histogram, its count |Pi_k|.  A stored histogram that
-    fails raises ValueError naming the file; a computed one raises
-    AssertionError before it is stored.
+    the longest in the class, so a stored histogram whose top length is
+    not that length raises ValueError naming the file.
     """
-    key = (family, k, None if cache_dir is None else Path(cache_dir))
-    if key in _HIST_MEMO:
-        return _HIST_MEMO[key]
-    path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
-    if path is not None and path.exists():
-        hist, size = cache.read_histogram(path), None
-    else:
-        export = None if path is None or k == 0 else cache.pi_path(cache_dir, family, k)
-        hist, size = _computed_histogram(family, k, export)
-    # A stored histogram carries no |Pi_k| of its own, so only its top
-    # length is checked.
-    top = max(hist.counts.items(), default=(0, 0))  # (longest length, its count)
-    expected = (k + 1 if family is Family.PANCAKE else 2 * k + 1, top[1] if size is None else size)
-    if top != expected:
-        message = f"{family.value} k={k}: the top (length, count) is {top}, but Pi_{k} gives {expected}"
-        if size is None:
-            raise ValueError(f"{path}: {message}; clear the store")
-        raise AssertionError(message)
-    if size is not None and path is not None:
-        cache.write_histogram(path, hist)
-    _HIST_MEMO[key] = hist
+    if cache_dir is None:
+        return _computed_histogram(family, k, None)
+    path = cache.hist_path(cache_dir, family, k)
+    if path.exists():
+        hist = cache.read_histogram(path)
+        top, length = max(hist.counts, default=0), _generator_length(family, k)
+        if top != length:
+            raise ValueError(f"{path}: {family.value} k={k}: the top length is {top}, not {length}; clear the store")
+        return hist
+    hist = _computed_histogram(family, k, None if k == 0 else cache.pi_path(cache_dir, family, k))
+    cache.write_histogram(path, hist)
     return hist
 
 
-def _computed_histogram(family: Family, k: int, export: Path | None) -> tuple[gridclass.LengthHistogram, int]:
+def _computed_histogram(family: Family, k: int, export: Path | None) -> gridclass.LengthHistogram:
     """
     The compact rows of each level of the downset of Pi_k, counted from its
-    keys as the levels are built and then dropped, and |Pi_k|, the size of
-    the first level.  Pi_k is decoded whole only to be written to `export`,
-    if that is given.
+    keys as the levels are built and then dropped.  Pi_k, the first level,
+    must be compact rows of the generator length, or AssertionError is
+    raised before anything is written; it is decoded whole only to be
+    written to `export`, if that is given.
     """
     from . import engine
 
     counts: dict[int, int] = {}
     for m, keys in _downset(family, k):
-        if not counts:  # Pi_k
-            size = len(keys)
+        counts[m] = engine.compact_count(keys, m)
+        if len(counts) == 1:  # Pi_k
+            length = _generator_length(family, k)
+            if (m, counts[m]) != (length, len(keys)):
+                found = f"{len(keys)} members of length {m}, {counts[m]} of them compact"
+                raise AssertionError(f"{family.value} k={k}: Pi_{k} has {found}, not all compact of length {length}")
             if export is not None:
                 cache.write_levels(export, [engine.from_keys(keys, m)])
-        counts[m] = engine.compact_count(keys, m)
         del keys  # before the next level is built
-    return gridclass.LengthHistogram({m: count for m, count in counts.items() if count}, True), size
-
-
-def generator_count(family: Family, k: int, cache_dir: Path | None = None) -> int:
-    """|Pi_k|, read as the top entry of the distance-<=k histogram."""
-    counts = distance_histogram(family, k, cache_dir).counts
-    return counts[max(counts)]
+    return gridclass.LengthHistogram({m: count for m, count in counts.items() if count}, True)
 
 
 def distance_polynomial(
@@ -315,7 +299,13 @@ def distance_polynomial(
     reversal 5); pass `k_ceiling` to raise or lower the guard.
     """
     check_k(family, k, k_ceiling)
-    p = poly.from_histogram(distance_histogram(family, k, cache_dir).counts)
+    return checked_polynomial(family, k, distance_histogram(family, k, cache_dir))
+
+
+def checked_polynomial(family: Family, k: int, hist: gridclass.LengthHistogram) -> poly.Polynomial:
+    """The polynomial of the distance-<=k class with histogram `hist`,
+    once it passes `check_polynomial`."""
+    p = poly.from_histogram(hist.counts)
     check_polynomial(family, k, p)
     return p
 

@@ -4,9 +4,10 @@ with its measured runtime (visible under ``pytest -s`` or in the captured
 output).  The two k >= 9 burnt-pancake computations take a few minutes
 and are marked ``stretch``; deselect them with ``-m "not stretch"``.
 
-Tests run in definition order, so the stretch polynomials computed for
-criterion 2 are already memoized when the full oracle cross-validation of
-criterion 5 needs them.
+The tables of criteria 2 and 3 and the cross-validations of criterion 5
+share one module-scoped store, and tests run in definition order, so
+criterion 5 reads the classes criterion 2 computed (the stretch ones
+included) instead of growing them again.
 """
 import itertools
 import random
@@ -15,7 +16,6 @@ from math import factorial
 
 import pytest
 
-from signedgrids import distance as distance_mod
 from signedgrids.distance import Family, distance_polynomial
 from signedgrids.gridclass import complete_and_compact, enumerate_gridclass, grid_member
 from signedgrids.oracle import bfs_histogram, verify
@@ -24,6 +24,12 @@ from signedgrids.poly import format_coeff_array, gregory_newton
 
 import oracles
 import tables
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    return tmp_path_factory.mktemp("store")
+
 
 def report(criterion: str, elapsed: float, detail: str = "") -> None:
     tail = f" [{detail}]" if detail else ""
@@ -41,19 +47,18 @@ def test_criterion_1_worked_example():
     report("1 (worked example)", elapsed)
 
 
-def test_criterion_2_pancake_tables_k1_to_7():
-    distance_mod._HIST_MEMO.clear()
+def test_criterion_2_pancake_tables_k1_to_7(store):
     t0 = time.perf_counter()
     for k in range(1, 8):
-        assert distance_polynomial(Family.PANCAKE, k) == tables.PANCAKE_AT_MOST[k], f"k={k}"
+        assert distance_polynomial(Family.PANCAKE, k, cache_dir=store) == tables.PANCAKE_AT_MOST[k], f"k={k}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report("2 (pancake tables k=1..7)", elapsed)
 
 
-def test_criterion_2_pancake_table_k8():
+def test_criterion_2_pancake_table_k8(store):
     t0 = time.perf_counter()
-    assert distance_polynomial(Family.PANCAKE, 8) == tables.PANCAKE_AT_MOST[8]
+    assert distance_polynomial(Family.PANCAKE, 8, cache_dir=store) == tables.PANCAKE_AT_MOST[8]
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     report("2 (pancake table k=8)", elapsed)
@@ -61,25 +66,25 @@ def test_criterion_2_pancake_table_k8():
 
 @pytest.mark.stretch
 @pytest.mark.parametrize("k", [9, 10])
-def test_criterion_2_pancake_tables_stretch(k):
+def test_criterion_2_pancake_tables_stretch(store, k):
     t0 = time.perf_counter()
-    assert distance_polynomial(Family.PANCAKE, k) == tables.PANCAKE_AT_MOST[k]
+    assert distance_polynomial(Family.PANCAKE, k, cache_dir=store) == tables.PANCAKE_AT_MOST[k]
     elapsed = time.perf_counter() - t0
     report(f"2 (pancake table k={k}, stretch)", elapsed)
 
 
-def test_criterion_3_reversal_tables():
+def test_criterion_3_reversal_tables(store):
     t0 = time.perf_counter()
     for k in range(1, 5):
-        assert distance_polynomial(Family.REVERSAL, k) == tables.REVERSAL_AT_MOST[k], f"k={k}"
+        assert distance_polynomial(Family.REVERSAL, k, cache_dir=store) == tables.REVERSAL_AT_MOST[k], f"k={k}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report("3 (reversal tables k=1..4)", elapsed)
 
 
-def test_criterion_3_reversal_table_k5():
+def test_criterion_3_reversal_table_k5(store):
     t0 = time.perf_counter()
-    assert distance_polynomial(Family.REVERSAL, 5) == tables.REVERSAL_AT_MOST[5]
+    assert distance_polynomial(Family.REVERSAL, 5, cache_dir=store) == tables.REVERSAL_AT_MOST[5]
     elapsed = time.perf_counter() - t0
     report("3 (reversal table k=5)", elapsed)
 
@@ -97,33 +102,34 @@ def test_criterion_4_exact_distance_factorizations():
     report("4 (exact-distance factorizations k=4..9)", elapsed)
 
 
-def _assert_saturation(family: Family, k_max: int, n_max: int) -> None:
+def _assert_saturation(family: Family, k_max: int, n_max: int, store) -> None:
+    polynomials = [distance_polynomial(family, k, cache_dir=store) for k in range(k_max + 1)]
     for n in range(1, n_max + 1):
         hist = bfs_histogram(n, family)
         total = 2**n * factorial(n)
         for k in range(hist.diameter, k_max + 1):
-            assert distance_polynomial(family, k)(n) == total
+            assert polynomials[k](n) == total
 
 
-def test_criterion_5_oracle_cross_validation_default():
+def test_criterion_5_oracle_cross_validation_default(store):
     t0 = time.perf_counter()
-    pancake = verify(Family.PANCAKE, k_max=8, n_max=6)
-    reversal = verify(Family.REVERSAL, k_max=5, n_max=6)
+    pancake = verify(Family.PANCAKE, k_max=8, n_max=6, cache_dir=store)
+    reversal = verify(Family.REVERSAL, k_max=5, n_max=6, cache_dir=store)
     assert pancake.all_match and not pancake.mismatches
     assert reversal.all_match and not reversal.mismatches
-    _assert_saturation(Family.PANCAKE, 8, 6)
-    _assert_saturation(Family.REVERSAL, 5, 6)
+    _assert_saturation(Family.PANCAKE, 8, 6, store)
+    _assert_saturation(Family.REVERSAL, 5, 6, store)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     report("5 (oracle cross-validation, pancake k<=8 + reversal k<=5, n<=6)", elapsed)
 
 
 @pytest.mark.stretch
-def test_criterion_5_oracle_cross_validation_full():
+def test_criterion_5_oracle_cross_validation_full(store):
     t0 = time.perf_counter()
-    pancake = verify(Family.PANCAKE, k_max=10, n_max=6)
+    pancake = verify(Family.PANCAKE, k_max=10, n_max=6, cache_dir=store)
     assert pancake.all_match and not pancake.mismatches
-    _assert_saturation(Family.PANCAKE, 10, 6)
+    _assert_saturation(Family.PANCAKE, 10, 6, store)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     report("5 (oracle cross-validation, pancake k<=10, n<=6, stretch)", elapsed)

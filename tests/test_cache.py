@@ -67,7 +67,14 @@ class TestHistogramFiles:
     def test_repeated_length_rejected(self, tmp_path):
         path = tmp_path / "h.hist"
         path.write_text(f"{cache.HIST_HEADER}\nepsilon 1\n1 2\n2 1\n1 3\n")
-        with pytest.raises(ValueError, match=r"h\.hist: line 4 after the header: length 1 appears twice"):
+        with pytest.raises(ValueError, match=r"h\.hist: line 4 after the header: length 1 comes after 2"):
+            cache.read_histogram(path)
+
+    def test_swapped_lengths_rejected(self, tmp_path):
+        # `write_histogram` writes the lengths in increasing order
+        path = tmp_path / "h.hist"
+        path.write_text(f"{cache.HIST_HEADER}\nepsilon 1\n2 2\n1 2\n3 1\n")
+        with pytest.raises(ValueError, match=r"h\.hist: line 3 after the header: length 1 comes after 2"):
             cache.read_histogram(path)
 
     def test_layout_paths(self, tmp_path):

@@ -147,7 +147,6 @@ class TestDistanceCommands:
 
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         monkeypatch.setattr(distance, "_downset_level", counting_level)
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, _ = run(capsys, "--verbose", "pancake", "--k", "5")
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_5| = 120"
@@ -164,12 +163,11 @@ class TestCache:
         assert (code1, out1) == (code2, out2)
         assert out1 == "[1, -1/2, 3, -5/2, 1]\n"
 
-    def test_damaged_generator_file_is_never_read(self, capsys, tmp_path, monkeypatch):
+    def test_damaged_generator_file_is_never_read(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
         pi_4 = tmp_path / "pancake" / "pi_4.perms"
         lines = pi_4.read_text().splitlines(keepends=True)
         pi_4.write_text("".join(lines[:5] + lines[8:]))
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", "5")
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_5| = 120"
@@ -180,31 +178,27 @@ class TestCache:
         assert sorted(f.name for f in (tmp_path / "pancake").iterdir()) == ["S_5.hist", "pi_5.perms"]
 
     @pytest.mark.parametrize("family,k", [("pancake", 4), ("reversal", 3)])
-    def test_histogram_missing_its_last_line_rejected(self, capsys, tmp_path, monkeypatch, family, k):
+    def test_histogram_missing_its_last_line_rejected(self, capsys, tmp_path, family, k):
         run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k))
         target = tmp_path / family / f"S_{k}.hist"
         lines = target.read_text().splitlines(keepends=True)
         target.write_text("".join(lines[:-1]))
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k))
         assert (code, out) == (2, "")
         assert f"S_{k}.hist" in err
 
     @pytest.mark.parametrize("verbose", [(), ("--verbose",)], ids=["plain", "verbose"])
-    def test_histogram_cut_inside_its_last_line_rejected(self, capsys, tmp_path, monkeypatch, verbose):
+    def test_histogram_cut_inside_its_last_line_rejected(self, capsys, tmp_path, verbose):
         # "5 24" becomes "5 2": the file still parses and keeps its top length
         run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
         target = tmp_path / "pancake" / "S_4.hist"
         target.write_bytes(target.read_bytes()[:-2])
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), *verbose, "pancake", "--k", "4")
         assert (code, out) == (2, "")
         assert "pancake k=4" in err and "leading coefficient" in err
 
     @pytest.mark.parametrize("family,k,old,new", [("pancake", 3, "2 3", "2 6"), ("reversal", 2, "2 2", "2 6")])
-    def test_exact_rejects_a_shorter_class_larger_than_its_successor(
-        self, capsys, tmp_path, monkeypatch, family, k, old, new
-    ):
+    def test_exact_rejects_a_shorter_class_larger_than_its_successor(self, capsys, tmp_path, family, k, old, new):
         # the edited S_{k-1}.hist still passes every check on P_{k-1} alone;
         # only P_k - P_{k-1} shows it, negative at n = 2
         for j in range(1, k + 1):
@@ -213,7 +207,6 @@ class TestCache:
         lines = target.read_text().splitlines(keepends=True)
         target.write_text("".join(new + "\n" if line == old + "\n" else line for line in lines))
         assert target.read_text() != "".join(lines)
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k), "--exact")
         assert (code, out) == (2, "")
         assert f"{family} k={k}: P(2) = -1 is outside 0..2^n n! = 8" in err
@@ -229,7 +222,6 @@ class TestCache:
         for path in (tmp_path / "pancake").glob("pi_*.perms"):
             path.unlink()
         monkeypatch.setattr(distance, "_downset_level", _no_growth)
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         code, out, _ = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", "4")
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_4| = 24"

@@ -92,6 +92,7 @@ class TestGeneratorCheck:
         # the patched step built the top level of the class, Pi_1
         assert len(tops) == 1 and extra in tops[0]
         assert not (tmp_path / "pancake" / "S_1.hist").exists()
+        assert not (tmp_path / "pancake" / "pi_1.perms").exists()
 
     def test_downset_walk_frees_each_level(self, monkeypatch, tmp_path):
         # While D_j(m) is built, the only levels alive, as rows or as keys,
@@ -134,7 +135,6 @@ class TestGeneratorCheck:
         monkeypatch.setattr(distance, "_downset_level", recording_level)
         monkeypatch.setattr(engine, "from_keys", recording_from_keys)
         monkeypatch.setattr(engine, "_COUNT_ROWS", block)
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         for store in (None, tmp_path):
             refs.clear(), decoded.clear()
             built[:] = [(0, 1)]

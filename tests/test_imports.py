@@ -66,8 +66,8 @@ def test_store_layout_known_only_to_distance(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_generator_set_known_only_to_distance(path):
-    # |Pi_k| is the top entry of the histogram (`generator_count`), so no
-    # other module needs to grow or read Pi_k itself
+    # |Pi_k| is the top entry of the histogram, so no other module needs
+    # to grow or read Pi_k itself
     if path.name != "distance.py":
         assert re.findall(r"\bgenerator_set\b", path.read_text()) == []
 

@@ -127,7 +127,6 @@ class TestVerify:
             raise AssertionError("verify computed before checking its ceilings")
 
         monkeypatch.setattr(distance, "_downset_level", no_growth)
-        monkeypatch.setattr(distance, "_HIST_MEMO", {})
         with pytest.raises(ResourceLimitError, match="ceiling"):
             verify(family, k_max=k_max, n_max=n_max)
 
