@@ -102,7 +102,8 @@ def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
 # left cut is pinned at position 0, outside every entry.
 _MAX_INSIDE = {Family.PANCAKE: 1, Family.REVERSAL: 2}
 
-# Candidate rows per part that `_reverse_segments` hands to `engine.unique_rows`.
+# Candidate rows per part that `_reverse_segments` yields; `_downset_level`
+# hands the parts to `engine.unique_keys`.
 _PART_ROWS = 1 << 20
 
 

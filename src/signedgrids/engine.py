@@ -30,7 +30,6 @@ oracle, which keeps its layers as sorted keys, and for `distance`, which
 counts the compact rows of most downset levels from their keys:
 
     keys(level)               the key of every row
-    distinct(keys)            the distinct values of sorted keys
     from_keys(keys, m)        keys -> a level of length m
     unique_keys(parts)        the sorted distinct keys of same-length levels
     compact_count(keys, m)    the compact rows among keys, a block at a time
@@ -140,16 +139,6 @@ def keys(level: np.ndarray) -> np.ndarray:
     return out
 
 
-def distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of sorted keys, in order."""
-    if len(keys) < 2:
-        return keys
-    keep = np.empty(len(keys), dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
 def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
     """Decode keys into a level of length m, stored column by column."""
     columns = np.empty((m, len(keys)), dtype=np.int8)
@@ -196,32 +185,45 @@ def unique_rows(parts: Iterable[np.ndarray]) -> np.ndarray:
 
 def _unique(parts: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
     """The sorted distinct keys of the parts, and their row length."""
-    found = np.empty(0, dtype=np.int64)
-    batch: list[np.ndarray] = []
+    # the sorted, distinct result, then the batch
+    runs = [np.empty(0, dtype=np.int64)]
     batched = 0
     for part in parts:
         m = part.shape[1]
-        batch.append(keys(part))
+        runs.append(keys(part))
         batched += len(part)
         del part
-        if batched > len(found):
-            found = _merged(found, batch)
+        if batched > len(runs[0]):
+            _merge(runs)
             batched = 0
-    return (_merged(found, batch) if batch else found), m
+    if len(runs) > 1:
+        _merge(runs)
+    return runs[0], m
 
 
-def _merged(found: np.ndarray, batch: list[np.ndarray]) -> np.ndarray:
-    """The distinct keys of sorted, distinct `found` and of the batch,
-    which is emptied."""
-    new = np.concatenate(batch)
-    batch.clear()
+def _merge(runs: list[np.ndarray]) -> None:
+    """Merge the batch `runs[1:]` into the sorted, distinct result
+    `runs[0]`, leaving the new result as the one run.  The old result is
+    popped before the merged run is sorted, so no frame holds it then."""
+    new = np.concatenate(runs[1:])
+    del runs[1:]
     new.sort()
-    new = distinct(new)
-    merged = np.concatenate((found, new))
+    new = _distinct(new)
+    merged = np.concatenate((runs.pop(), new))
     del new
     # two sorted runs, which the stable sort (timsort) merges in one pass
     merged.sort(kind="stable")
-    return distinct(merged)
+    runs.append(_distinct(merged))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of sorted keys, in order."""
+    if len(keys) < 2:
+        return keys
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def expand(level: np.ndarray) -> np.ndarray:

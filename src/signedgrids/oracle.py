@@ -100,18 +100,10 @@ def bfs_histogram(n: int, family: Family, n_ceiling: int = DEFAULT_N_CEILING) ->
     # rather than let it run on.
     while sum(counts) <= total:
         rows = engine.from_keys(layer, n)
-        # The images of each move are keyed and merged into the result
-        # before the next move's, which bounds the temporaries.  A move is
-        # a bijection, so one move's images of distinct rows are distinct.
-        found = np.empty(0, dtype=np.int64)
-        for order, sign in moves:
-            images = engine.keys(rows[:, order] * sign)
-            images.sort()
-            found = np.concatenate((found, images))
-            del images
-            # two sorted runs, which the stable sort (timsort) merges in one pass
-            found.sort(kind="stable")
-            found = engine.distinct(found)
+        # Every move's images, one part per move: `unique_keys` merges a
+        # batch of them into its result once the batch outgrows it, which
+        # bounds the temporaries.
+        found = engine.unique_keys(rows[:, order] * sign for order, sign in moves)
         del rows
         found = found[~(_members(found, layer) | _members(found, previous))]
         if not len(found):

@@ -62,7 +62,7 @@ class TestBfsHistogram:
 
     @pytest.mark.stretch
     def test_pancake_b8_with_raised_ceiling(self):
-        # ten million states, about 10 s on 2 cores; n = 8 is also a point
+        # ten million states, about 7 s on 2 cores; n = 8 is also a point
         # past the default ceiling where the polynomials must agree
         hist = bfs_histogram(8, Family.PANCAKE, n_ceiling=8)
         assert sum(hist.counts) == 2**8 * factorial(8)

@@ -1,6 +1,8 @@
 """Pointwise operators on signed permutations."""
 import itertools
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -365,9 +367,49 @@ class TestArrayEngine:
             sizes = [2 if j == i else 1 for j in range(4)]
             assert engine.to_tuples(engine.split_column(level, i)) == [inflate(p, sizes) for p in self.LEVEL]
 
-    def test_unique_rows_sorted_and_distinct(self):
+    @given(
+        st.lists(st.lists(st.integers(0, 383), max_size=40), min_size=1, max_size=30),
+        st.lists(st.integers(0, 383), min_size=1, max_size=10),
+        st.integers(0, 30),
+    )
+    def test_unique_rows_sorted_and_distinct(self, picks, few, at):
         level = engine.rows(self.LEVEL, 4)
         assert engine.to_tuples(engine.unique_rows([level[::-1], level[:100]])) == self.LEVEL
+        # many parts drawn with repeats, empty ones among them, and one part
+        # of a few rows repeated, longer than the level, so the result is
+        # merged with batches of every size
+        picks.insert(at, few * len(level))
+        parts = [level[pick] for pick in picks]
+        expected = sorted({self.LEVEL[i] for pick in picks for i in pick})
+        assert engine.to_tuples(engine.unique_rows(iter(parts))) == expected
+        all_keys = engine.keys(np.concatenate(parts)).tolist()
+        assert engine.unique_keys(iter(parts)).tolist() == sorted(set(all_keys))
+
+    def test_merge_lets_go_of_the_old_result(self, monkeypatch):
+        # Each merge deduplicates its sorted batch, then the merged run.
+        # The old result is alive for the first, and must be gone by the
+        # second, so the stable sort just before it never holds the old
+        # result, the merged run and the sort's buffer at once.
+        results = []  # weak references to every run the distinct step returns
+        live = []  # how many of them are alive at each call
+        distinct = engine._distinct
+
+        def recording(sorted_keys):
+            live.append(sum(ref() is not None for ref in results))
+            out = distinct(sorted_keys)
+            results.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(engine, "_distinct", recording)
+        level = engine.rows(self.LEVEL, 4)
+        parts = [level[i::5] for i in range(5)] * 2
+        assert engine.to_tuples(engine.unique_rows(parts)) == self.LEVEL
+        merges = len(live) // 2
+        assert merges >= 3
+        # the first merge goes into the empty result, which is not a run
+        # the distinct step returned
+        assert live[0::2] == [0] + [1] * (merges - 1)
+        assert live[1::2] == [0] * merges
 
     def test_expand_is_every_single_deletion(self):
         members = [(4, -1, 3, -2), (-2, 1, 4, 3), (1, 2, 3, 4)]
