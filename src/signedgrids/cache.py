@@ -114,10 +114,7 @@ def write_permset(path: Path, members: PermSet) -> None:
     """Write tuples of length up to `engine.MAX_LENGTH` (13) through `write_levels`."""
     from . import engine
 
-    by_length: dict[int, list] = {}
-    for p in members:
-        by_length.setdefault(len(p), []).append(p)
-    write_levels(path, [engine.rows(perms, m) for m, perms in by_length.items()])
+    write_levels(path, engine.levels(members).values())
 
 
 def read_permset(path: Path) -> PermSet:

@@ -7,11 +7,11 @@ its entries the signed values themselves, so every row has the same
 length m.  The operators act on all rows at once with int8 arithmetic:
 
     rows(perms, m)        tuples of length m -> a level
+    levels(perms)         tuples of any lengths -> {length: level}
     to_tuples(level)      a level -> tuples that share one int object per value
     delete_column(l, i)   `perm.delete` of entry i (0-based) from every row
     split_column(l, i)    `perm.inflate` of entry i into a monotone pair
     compact_mask(l)       `perm.is_compact` of every row
-    unique_rows(parts)    the distinct rows of same-length levels
     expand(level)         the distinct single deletions of every row
 
 Rows are compared through `int64` keys with 5 bits per entry, first entry
@@ -25,13 +25,17 @@ one magnitude, so they differ in its sign.  Keys are only compared between
 rows of one length, and only rows that are signed permutations have keys.
 Distinct rows come from an in-place sort of the keys and a neighbour mask,
 then decoding the keys by shifts and masks; `np.unique` took over ten
-times as long on ten million keys.  The codec is public for the BFS
-oracle, which keeps its layers as sorted keys, and for `distance`, which
-counts the compact rows of most downset levels from their keys:
+times as long on ten million keys.  `unique_keys` is the engine's only
+union, and a caller that needs rows decodes its keys with the length it
+already has, as `expand` and the closure do.  The codec is public for
+them, for the BFS oracle, which keeps its layers as sorted keys, and for
+`distance`, which counts the compact rows of most downset levels from
+their keys:
 
     keys(level)               the key of every row
     from_keys(keys, m)        keys -> a level of length m
-    unique_keys(parts)        the sorted distinct keys of same-length levels
+    unique_keys(parts)        the sorted distinct keys of same-length levels,
+                              at least one of them
     compact_count(keys, m)    the compact rows among keys, a block at a time
 
 numpy is imported at the top of this module alone; `distance`,
@@ -81,6 +85,14 @@ def rows(perms: Iterable[SignedPerm], m: int) -> np.ndarray:
     _check_length(m)
     listed = list(perms)
     return np.array(listed, dtype=np.int8).reshape(len(listed), m)
+
+
+def levels(perms: Iterable[SignedPerm]) -> dict[int, np.ndarray]:
+    """The given permutations as one level per length: length -> level."""
+    by_length: dict[int, list[SignedPerm]] = {}
+    for p in perms:
+        by_length.setdefault(len(p), []).append(p)
+    return {m: rows(ps, m) for m, ps in by_length.items()}
 
 
 def to_tuples(level: np.ndarray) -> list[SignedPerm]:
@@ -168,37 +180,31 @@ def compact_count(keys: np.ndarray, m: int) -> int:
 
 def unique_keys(parts: Iterable[np.ndarray]) -> np.ndarray:
     """
-    The sorted distinct keys of the rows of levels of one length (at least
-    one level).  The parts' keys are gathered in a batch, and a batch is
+    The sorted distinct keys of the rows of levels of one length, at least
+    one level.  The parts' keys are gathered in a batch, and a batch is
     sorted, deduplicated and merged into the result once it outgrows it,
     so the temporaries stay within a few times the size of the result
-    however many rows the parts hold.
+    however many rows the parts hold.  No part is held once its keys are
+    taken.  A union of no parts raises ValueError: it has no row length,
+    and a caller handed an empty level would go on as if the step that
+    made nothing had been right.
     """
-    return _unique(parts)[0]
-
-
-def unique_rows(parts: Iterable[np.ndarray]) -> np.ndarray:
-    """The distinct rows of levels of one length (at least one level), in
-    lexicographic order: `unique_keys`, decoded."""
-    return from_keys(*_unique(parts))
-
-
-def _unique(parts: Iterable[np.ndarray]) -> tuple[np.ndarray, int]:
-    """The sorted distinct keys of the parts, and their row length."""
     # the sorted, distinct result, then the batch
     runs = [np.empty(0, dtype=np.int64)]
-    batched = 0
+    count = batched = 0
     for part in parts:
-        m = part.shape[1]
+        count += 1  # not `enumerate`, whose result tuple holds the last part
         runs.append(keys(part))
         batched += len(part)
         del part
         if batched > len(runs[0]):
             _merge(runs)
             batched = 0
+    if not count:
+        raise ValueError("a union of levels needs at least one part")
     if len(runs) > 1:
         _merge(runs)
-    return runs[0], m
+    return runs[0]
 
 
 def _merge(runs: list[np.ndarray]) -> None:
@@ -231,8 +237,9 @@ def expand(level: np.ndarray) -> np.ndarray:
     The distinct single deletions of every row, in lexicographic order,
     deleted one column and one block of rows at a time.
     """
-    return unique_rows(
+    deletions = (
         delete_column(level[start : start + _BLOCK_ROWS], i)
         for i in range(level.shape[1])
         for start in range(0, len(level), _BLOCK_ROWS)
     )
+    return from_keys(unique_keys(deletions), level.shape[1] - 1)

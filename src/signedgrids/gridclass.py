@@ -5,14 +5,18 @@ representative extraction, and the enumerating polynomial.
 The closure walks the union of downsets of arbitrary generators by
 repeated single-entry deletion.  Because deletion drops the length by
 exactly one, the global visited set splits into per-length levels and each
-permutation is expanded exactly once: the closure holds only two adjacent
-levels at a time.  The distance classes do not come through here:
-`distance` grows their downsets move by move, which makes far fewer
-candidates than deleting each entry of each level.  Each level is an `int8`
-array of the `engine` module, one row per permutation, so the deletions,
-their deduplication and the compactness scan run on whole levels in
-numpy; permutations are limited to `engine.MAX_LENGTH` (13) entries.
-numpy is loaded on the first closure, not on import.
+permutation is expanded exactly once.  `_closure` is one generator that
+yields the levels longest first: level m is the union (`engine.unique_keys`)
+of the generators of length m and the single deletions of level m + 1, so
+it holds only two adjacent levels at a time, and `complete_and_compact`
+and `closure_histogram` are each one loop over it.  The distance classes
+do not come through here: `distance` grows their downsets move by move,
+which makes far fewer candidates than deleting each entry of each level.
+Each level is an `int8` array of the `engine` module, one row per
+permutation, so the deletions, their deduplication and the compactness
+scan run on whole levels in numpy; permutations are limited to
+`engine.MAX_LENGTH` (13) entries.  numpy is loaded on the first closure,
+not on import.
 
 Non-compact permutations are still traversed (their sub-permutations may
 be compact) but only compact ones are counted or emitted.
@@ -20,7 +24,7 @@ be compact) but only compact ones are counted or emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .perm import SignedPerm, compactify, format_perm, parse_perm
 from .poly import Polynomial, from_histogram
@@ -43,35 +47,24 @@ class LengthHistogram:
         return sum(self.counts.values()) + (1 if self.has_epsilon else 0)
 
 
-def _seed_levels(perms: Iterable[SignedPerm]) -> dict[int, np.ndarray]:
+def _closure(perms: Iterable[SignedPerm]) -> Iterator[np.ndarray]:
+    """
+    The levels of the downset of `perms`, from the longest down to length
+    1, each of distinct rows in lexicographic order.  A seed of length m
+    joins level m's union, and a level with no seed of its length is the
+    single deletions of the level above.  Besides the seeds still to come,
+    only the current level is held here across a yield.
+    """
     from . import engine
 
-    by_length: dict[int, list[SignedPerm]] = {}
-    for p in perms:
-        if p:
-            by_length.setdefault(len(p), []).append(p)
-    return {m: engine.unique_rows([engine.rows(ps, m)]) for m, ps in by_length.items()}
-
-
-def _closure(seeds: dict[int, np.ndarray], collect: list[SignedPerm] | None) -> dict[int, int]:
-    """Walk the levels of `seeds` (length -> level) down to length 1 and
-    count the compact rows of each; `seeds` is emptied as it is walked."""
-    from . import engine
-
-    counts: dict[int, int] = {}
+    seeds = engine.levels(perms)
     level = None
     for m in range(max(seeds, default=0), 0, -1):
         if m in seeds:
-            level = seeds.pop(m) if level is None else engine.unique_rows([level, seeds.pop(m)])
-        compact = engine.compact_mask(level)
-        count = int(compact.sum())
-        if count:
-            counts[m] = count
-            if collect is not None:
-                collect.extend(engine.to_tuples(level[compact]))
+            level = engine.from_keys(engine.unique_keys([seeds.pop(m)] if level is None else [level, seeds.pop(m)]), m)
+        yield level
         if m > 1:
             level = engine.expand(level)
-    return counts
 
 
 def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
@@ -81,8 +74,12 @@ def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
     with the empty permutation.  Grid(S) = Grid(perms) and the grid class
     decomposes as the disjoint union of the fillings of the members of S.
     """
+    from . import engine
+
     members: list[SignedPerm] = [()]  # the empty permutation is in every downset
-    _closure(_seed_levels(perms), members)
+    for level in _closure(perms):
+        members.extend(engine.to_tuples(level[engine.compact_mask(level)]))
+        del level  # before the next level is built
     return frozenset(members)
 
 
@@ -91,7 +88,15 @@ def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:
     Length histogram of `complete_and_compact(perms)` without materializing
     the set; this is the memory-friendly path for large distance classes.
     """
-    return LengthHistogram(_closure(_seed_levels(perms), None), True)
+    from . import engine
+
+    counts: dict[int, int] = {}
+    for level in _closure(perms):
+        count = int(engine.compact_mask(level).sum())
+        if count:
+            counts[level.shape[1]] = count
+        del level  # before the next level is built
+    return LengthHistogram(counts, True)
 
 
 def length_histogram(members: Iterable[SignedPerm]) -> LengthHistogram:
@@ -138,17 +143,12 @@ def permset_to_lines(members: Iterable[SignedPerm]) -> list[str]:
 
 def permset_from_lines(lines: Iterable[str]) -> PermSet:
     members: set[SignedPerm] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.rstrip("\n")
-        if not text.strip():
-            if lineno != 1:
-                raise ValueError(
-                    f"line {lineno}: empty line (the empty permutation) is permitted only as the first line"
-                )
-            members.add(())
-            continue
+    for lineno, text in enumerate(lines, start=1):
         try:
-            members.add(parse_perm(text))
+            p = parse_perm(text)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not p and lineno != 1:
+            raise ValueError(f"line {lineno}: empty line (the empty permutation) is permitted only as the first line")
+        members.add(p)
     return frozenset(members)

@@ -103,14 +103,12 @@ def choose_poly(r: int) -> Polynomial:
     return _falling_product(range(r)).scale(Fraction(1, factorial(r)))
 
 
-def from_histogram(histogram) -> Polynomial:
+def from_histogram(counts: Mapping[int, int]) -> Polynomial:
     """
     The enumerating polynomial sum_m counts[m] * C(n-1, m-1) of a compact
-    representative set with the given length counts.  Accepts a plain
-    length-to-count mapping or anything with a `counts` attribute.  The
-    empty permutation contributes nothing for n >= 1 and is ignored here.
+    representative set with the given length -> count mapping.  The empty
+    permutation contributes nothing for n >= 1 and is ignored here.
     """
-    counts: Mapping[int, int] = getattr(histogram, "counts", histogram)
     out = ZERO
     for m in sorted(counts):
         c = counts[m]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from signedgrids import distance
+from signedgrids import distance, engine
 from signedgrids.cli import CACHE_DIR_ENV, main
 
 
@@ -151,6 +151,27 @@ class TestDistanceCommands:
         assert code == 0
         assert out.splitlines()[0] == "# |Pi_5| = 120"
         assert built == [m for j in range(1, 6) for m in range(j + 1, 0, -1)]
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_growth_with_no_moves_for_a_level_refused(self, capsys, monkeypatch, k):
+        # Reversal M_2 without the adjacent halves (j == i + 1) has no move
+        # for a one-entry row, so D_1(3) is a union of no parts.
+        split_moves = distance._split_moves
+
+        def without_adjacent_halves(level, family, inside):
+            if inside < 2:
+                yield from split_moves(level, family, inside)
+                return
+            for i in range(level.shape[1]):
+                once = engine.split_column(level, i)
+                for j in range(i + 2, once.shape[1]):
+                    yield from distance._reverse_segments(engine.split_column(once, j), [(i + 1, j + 1)])
+
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.setattr(distance, "_split_moves", without_adjacent_halves)
+        code, out, err = run(capsys, "reversal", "--k", k)
+        assert (code, out) == (2, "")
+        assert "at least one part" in err
 
 
 class TestCache:

@@ -372,18 +372,42 @@ class TestArrayEngine:
         st.lists(st.integers(0, 383), min_size=1, max_size=10),
         st.integers(0, 30),
     )
-    def test_unique_rows_sorted_and_distinct(self, picks, few, at):
+    def test_unique_keys_sorted_and_distinct(self, picks, few, at):
         level = engine.rows(self.LEVEL, 4)
-        assert engine.to_tuples(engine.unique_rows([level[::-1], level[:100]])) == self.LEVEL
+        union = engine.unique_keys([level[::-1], level[:100]])
+        assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
         # many parts drawn with repeats, empty ones among them, and one part
         # of a few rows repeated, longer than the level, so the result is
         # merged with batches of every size
         picks.insert(at, few * len(level))
         parts = [level[pick] for pick in picks]
         expected = sorted({self.LEVEL[i] for pick in picks for i in pick})
-        assert engine.to_tuples(engine.unique_rows(iter(parts))) == expected
+        union = engine.unique_keys(iter(parts))
+        assert engine.to_tuples(engine.from_keys(union, 4)) == expected
         all_keys = engine.keys(np.concatenate(parts)).tolist()
-        assert engine.unique_keys(iter(parts)).tolist() == sorted(set(all_keys))
+        assert union.tolist() == sorted(set(all_keys))
+
+    def test_union_of_no_parts_rejected(self):
+        for parts in ([], iter(())):
+            with pytest.raises(ValueError, match="at least one part"):
+                engine.unique_keys(parts)
+
+    def test_union_lets_go_of_each_part(self):
+        # Each part must be dead by the time the next one is made: counting
+        # the parts with `enumerate` would keep the last one alive in its
+        # cached result tuple.
+        refs = []  # weak references to every part made
+        live = []  # how many of them are alive as each part is made
+
+        def made(part):
+            live.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(part))
+            return part
+
+        level = engine.rows(self.LEVEL, 4)
+        union = engine.unique_keys(made(level[i::5]) for i in range(5))
+        assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
+        assert live == [0] * 5
 
     def test_merge_lets_go_of_the_old_result(self, monkeypatch):
         # Each merge deduplicates its sorted batch, then the merged run.
@@ -403,7 +427,7 @@ class TestArrayEngine:
         monkeypatch.setattr(engine, "_distinct", recording)
         level = engine.rows(self.LEVEL, 4)
         parts = [level[i::5] for i in range(5)] * 2
-        assert engine.to_tuples(engine.unique_rows(parts)) == self.LEVEL
+        assert engine.to_tuples(engine.from_keys(engine.unique_keys(parts), 4)) == self.LEVEL
         merges = len(live) // 2
         assert merges >= 3
         # the first merge goes into the empty result, which is not a run
@@ -420,7 +444,7 @@ class TestArrayEngine:
         # 13 12 ... 1 has the largest key of length 13, close to 27**13
         low, top = tuple(range(-13, 0)), tuple(range(13, 0, -1))
         level = engine.rows([top, low, identity(13), top], 13)
-        assert engine.to_tuples(engine.unique_rows([level])) == [low, identity(13), top]
+        assert engine.to_tuples(engine.from_keys(engine.unique_keys([level]), 13)) == [low, identity(13), top]
 
     def test_length_limit(self):
         with pytest.raises(ValueError, match="limit of 13"):

@@ -62,12 +62,6 @@ class TestFromHistogram:
     def test_single_point(self):
         assert from_histogram({1: 1}) == P(1)
 
-    def test_accepts_histogram_object(self):
-        from signedgrids.gridclass import LengthHistogram
-
-        h = LengthHistogram({1: 2, 2: 2, 3: 1}, True)
-        assert from_histogram(h) == from_histogram(h.counts)
-
     @given(st.dictionaries(st.integers(1, 7), st.integers(1, 50), max_size=5))
     def test_integer_valued_at_integers(self, counts):
         p = from_histogram(counts)
