@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .gridclass import LengthHistogram, PermSet
-from .perm import parse_canonical
 
 if TYPE_CHECKING:  # `family.value` and array levels only, so no import at run time
     import numpy as np
@@ -119,6 +118,8 @@ def write_permset(path: Path, members: PermSet) -> None:
 
 def read_permset(path: Path) -> PermSet:
     """Read a PermSet file; every line must be exactly as written."""
+    from .perm import parse_canonical
+
     members = set()
     for lineno, line in enumerate(_read_lines(path, PERMS_HEADER), start=1):
         try:

@@ -10,13 +10,13 @@ identical inputs and flags, warm or cold cache.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import gridclass, oracle, poly
+from . import gridclass, poly
 from .distance import (
+    DEFAULT_N_CEILING,
     Family,
     ResourceLimitError,
     check_k,
@@ -26,7 +26,6 @@ from .distance import (
     distance_polynomial,
 )
 from .gridclass import LengthHistogram
-from .perm import compactify, format_perm, parse_perm
 
 CACHE_DIR_ENV = "SIGNEDGRIDS_CACHE_DIR"
 
@@ -52,6 +51,8 @@ def _print_poly(p: poly.Polynomial, args: argparse.Namespace) -> None:
         print(value.numerator)
         return
     if args.format == "json":
+        import json
+
         print(json.dumps(poly.to_json_dict(p)))
     elif args.format == "latex":
         print(poly.format_latex(p))
@@ -67,6 +68,8 @@ def _hist_summary(hist: LengthHistogram) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.perm is not None:
+        from .perm import parse_perm
+
         members = frozenset({parse_perm(args.perm)})
     else:
         lines = Path(args.input).read_text().splitlines()
@@ -99,6 +102,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle
+
     report = oracle.verify(
         Family(args.family),
         args.k_max,
@@ -112,6 +117,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_downset(args: argparse.Namespace) -> int:
+    from .perm import parse_perm
+
     members = gridclass.complete_and_compact({parse_perm(args.perm)})
     for line in gridclass.permset_to_lines(members):
         print(line)
@@ -119,8 +126,12 @@ def cmd_downset(args: argparse.Namespace) -> int:
 
 
 def cmd_compactify(args: argparse.Namespace) -> int:
+    from .perm import compactify, format_perm, parse_perm
+
     core, vector = compactify(parse_perm(args.perm))
     if args.format == "json":
+        import json
+
         print(json.dumps({"core": format_perm(core), "vector": list(vector)}))
     else:
         print(f"core: {format_perm(core)}")
@@ -159,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-max", type=int, required=True)
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--k-ceiling", type=int, default=None)
-    p_verify.add_argument("--n-ceiling", type=int, default=oracle.DEFAULT_N_CEILING)
+    p_verify.add_argument("--n-ceiling", type=int, default=DEFAULT_N_CEILING)
     p_verify.set_defaults(run=cmd_verify)
 
     p_down = sub.add_parser("downset", help="compact representatives of one permutation's class")

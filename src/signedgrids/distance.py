@@ -50,9 +50,12 @@ polynomial, and `distance_histogram` is the only function that reads or
 writes the on-disk store (`cache`).  Pi_k is always grown from Pi_0: the
 store's `pi_k.perms` is an export, never read back.  Every step acts on
 whole `engine` levels (int8 arrays, one row per permutation), so Pi_k is
-limited to `engine.MAX_LENGTH` (13) entries; numpy is loaded on the first
-growth step, not on import.  Every polynomial passes `check_polynomial`
-before it is returned.
+limited to `engine.MAX_LENGTH` (13) entries.  `engine`, with numpy, is
+loaded on the first growth step, and `perm` on the first sorting-sequence
+translation, so a query answered from the store loads neither.  Every
+polynomial passes `check_polynomial` before it is returned.  The ceilings
+on k and on the BFS oracle's n live here too, so the CLI can show their
+defaults without loading the oracle.
 """
 from __future__ import annotations
 
@@ -62,10 +65,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import cache, gridclass, poly
-from .perm import SignedPerm, block_reversal, identity, inflate, prefix_reversal
 
 if TYPE_CHECKING:  # numpy is loaded by `engine` on the first growth step
     import numpy as np
+
+    from .perm import SignedPerm
 
 
 class Family(enum.Enum):
@@ -79,6 +83,7 @@ class Family(enum.Enum):
 
 
 DEFAULT_K_CEILING = {Family.PANCAKE: 10, Family.REVERSAL: 5}
+DEFAULT_N_CEILING = 7  # the BFS oracle's: B_7 has 645120 states
 
 
 class ResourceLimitError(RuntimeError):
@@ -98,20 +103,36 @@ def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
         )
 
 
+def check_n(n: int, n_ceiling: int = DEFAULT_N_CEILING) -> None:
+    """Refuse n < 1, or n above the oracle ceiling, before any search starts."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > n_ceiling:
+        raise ResourceLimitError(
+            f"n={n} exceeds the oracle ceiling of {n_ceiling} "
+            f"({2 ** n * factorial(n)} states); raise the ceiling explicitly to proceed"
+        )
+
+
 # Cuts that a move can place inside a newly split entry: a pancake flip's
 # left cut is pinned at position 0, outside every entry.
 _MAX_INSIDE = {Family.PANCAKE: 1, Family.REVERSAL: 2}
 
-# Candidate rows per part that `_reverse_segments` yields; `_downset_level`
-# hands the parts to `engine.unique_keys`.
-_PART_ROWS = 1 << 20
+# Candidate rows per gather in `_reverse_segments`, which yields a gather
+# as one part per segment; `_downset_level` hands the parts to
+# `engine.unique_keys`.  A gather stays alive until its last part is keyed,
+# through any merge in between, which sets its size: at 2^20 rows pancake
+# k = 10's tracemalloc peak was 5% above that at 2^19.
+_PART_ROWS = 1 << 19
 
 
 def _reverse_segments(level: np.ndarray, segments: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     """
     Every row of the level with each segment [a, b) of its columns reversed
     and negated, one copy per segment, as one fancy-indexed gather per
-    block of rows.
+    block of rows.  numpy lays the gather out as one column-major slab per
+    segment, and each slab is yielded as it lies, so keying its columns
+    reads contiguous memory.
     """
     import numpy as np
 
@@ -123,7 +144,7 @@ def _reverse_segments(level: np.ndarray, segments: list[tuple[int, int]]) -> Ite
         sign[s, a:b] = -1
     step = max(1, _PART_ROWS // len(segments))
     for start in range(0, len(level), step):
-        yield (level[start : start + step, order] * sign).reshape(-1, m)
+        yield from (level[start : start + step, order] * sign).transpose(1, 0, 2)
 
 
 def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[np.ndarray]:
@@ -345,6 +366,8 @@ Move = int | tuple[int, int]
 
 def apply_move(pi: SignedPerm, family: Family, move: Move) -> SignedPerm:
     """Apply one generator (or a degenerate no-op move) to pi."""
+    from .perm import block_reversal, prefix_reversal
+
     if family is Family.PANCAKE:
         assert isinstance(move, int)
         return pi if move == 0 else prefix_reversal(pi, move)
@@ -363,6 +386,8 @@ def sorting_sequence(
     Translate a sorting sequence of pi into one for sigma = pi inflated by
     `sizes`.  The returned sequence has the same length and sorts sigma.
     """
+    from .perm import identity, inflate
+
     if inflate(pi, sizes) != sigma:
         raise ValueError("inconsistent inputs: inflating pi by the vector does not give sigma")
     current = pi

@@ -38,10 +38,15 @@ their keys:
                               at least one of them
     compact_count(keys, m)    the compact rows among keys, a block at a time
 
+Levels are column-major where they are made in bulk: `from_keys` and
+`split_column` write them a column at a time, and `keys` reads them a
+column at a time.
+
 numpy is imported at the top of this module alone; `distance`,
-`gridclass`, `oracle` and `cache` import it only inside the functions that
-grow, close, search or write a set, so that `import signedgrids` and
-queries answered from the store never load it.
+`gridclass`, `oracle` and `cache` import this module only inside the
+functions that grow, close, search or write a set.  A query answered from
+the store loads `cli`, `distance`, `gridclass`, `cache` and `poly` alone:
+not this module, numpy, `perm` or `oracle`.
 """
 from __future__ import annotations
 
@@ -125,7 +130,7 @@ def split_column(level: np.ndarray, i: int) -> np.ndarray:
     a = np.abs(level[:, i : i + 1])
     widened = level + (level > a)
     widened -= level < -a
-    out = np.empty((n, m + 1), dtype=np.int8)
+    out = np.empty((n, m + 1), dtype=np.int8, order="F")  # written a column at a time
     out[:, :i] = widened[:, :i]
     out[:, i] = v - (v < 0)
     out[:, i + 1] = v + (v > 0)

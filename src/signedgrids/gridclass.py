@@ -15,31 +15,33 @@ which makes far fewer candidates than deleting each entry of each level.
 Each level is an `int8` array of the `engine` module, one row per
 permutation, so the deletions, their deduplication and the compactness
 scan run on whole levels in numpy; permutations are limited to
-`engine.MAX_LENGTH` (13) entries.  numpy is loaded on the first closure,
-not on import.
+`engine.MAX_LENGTH` (13) entries.  `engine`, with numpy, is loaded on the
+first closure and `perm` on the first text conversion, so a query
+answered from the store, which needs only `LengthHistogram`, loads
+neither.
 
 Non-compact permutations are still traversed (their sub-permutations may
 be compact) but only compact ones are counted or emitted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .perm import SignedPerm, compactify, format_perm, parse_perm
 from .poly import Polynomial, from_histogram
 
 if TYPE_CHECKING:  # numpy is loaded by `engine` on the first closure
     import numpy as np
 
-PermSet = frozenset[SignedPerm]
+    from .perm import SignedPerm
+
+PermSet = frozenset[tuple[int, ...]]  # of `perm.SignedPerm`
 
 
-@dataclass(frozen=True)
-class LengthHistogram:
+class LengthHistogram(NamedTuple):
     """Counts of compact representatives by length, plus the empty perm."""
 
-    counts: dict[int, int] = field(default_factory=dict)
+    counts: Mapping[int, int] = MappingProxyType({})  # a default no caller can mutate
     has_epsilon: bool = False
 
     def total(self) -> int:
@@ -125,6 +127,8 @@ def grid_member(sigma: SignedPerm, members: PermSet) -> bool:
     is `members` (an output of complete_and_compact): sigma belongs iff
     the unique compact permutation it fills is a representative.
     """
+    from .perm import compactify
+
     if len(sigma) == 0:
         return () in members
     return compactify(sigma)[0] in members
@@ -137,11 +141,15 @@ def grid_member(sigma: SignedPerm, members: PermSet) -> bool:
 
 
 def permset_to_lines(members: Iterable[SignedPerm]) -> list[str]:
+    from .perm import format_perm
+
     encoded = [format_perm(p) for p in set(members)]
     return sorted(encoded, key=lambda s: (len(s.split()), s))
 
 
 def permset_from_lines(lines: Iterable[str]) -> PermSet:
+    from .perm import parse_perm
+
     members: set[SignedPerm] = set()
     for lineno, text in enumerate(lines, start=1):
         try:

@@ -8,26 +8,23 @@ the generator growth it checks: a move is a fixed column order and a sign
 vector (pancake move j reverses and negates columns [0, j), reversal move
 (i, j) columns [i, j)), and a layer's images under it are
 `rows[:, order] * sign` on an `engine` level.  A layer is the sorted
-array of its `engine.keys`; numpy is loaded only when a search starts.
+array of its `engine.keys`; `engine`, with numpy, is loaded only when a
+search starts.  Only `verify` loads this module: a query answered from
+the store never does.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from math import factorial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .distance import Family, ResourceLimitError, check_k, distance_polynomial
+from .distance import DEFAULT_N_CEILING, Family, check_k, check_n, distance_polynomial
 
 if TYPE_CHECKING:  # numpy is loaded only when a search starts
     import numpy as np
 
-DEFAULT_N_CEILING = 7
 
-
-@dataclass(frozen=True)
-class DistanceHistogram:
+class DistanceHistogram(NamedTuple):
     """BFS layer sizes: counts[d] permutations at distance exactly d."""
 
     n: int
@@ -41,17 +38,6 @@ class DistanceHistogram:
     def within(self, k: int) -> int:
         """Number of permutations at distance <= k."""
         return sum(self.counts[: k + 1])
-
-
-def check_n(n: int, n_ceiling: int = DEFAULT_N_CEILING) -> None:
-    """Refuse n < 1, or n above the oracle ceiling, before any search starts."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > n_ceiling:
-        raise ResourceLimitError(
-            f"n={n} exceeds the oracle ceiling of {n_ceiling} "
-            f"({2 ** n * factorial(n)} states); raise the ceiling explicitly to proceed"
-        )
 
 
 def _moves(n: int, family: Family) -> list[tuple[list[int], list[int]]]:
@@ -129,8 +115,7 @@ def count_within(
     return bfs_histogram(n, family, n_ceiling).within(k)
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     n: int
     k: int
     polynomial_value: int
@@ -141,8 +126,7 @@ class VerifyRow:
         return self.polynomial_value == self.bfs_count
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     family: Family
     rows: tuple[VerifyRow, ...]
 
@@ -168,6 +152,8 @@ class VerifyReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "family": self.family.value,

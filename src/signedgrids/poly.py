@@ -12,14 +12,12 @@ the monomial coefficients are rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Coefficients in ascending degree; coeffs[i] multiplies n**i."""
 
     coeffs: tuple[Fraction, ...]

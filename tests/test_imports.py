@@ -79,34 +79,70 @@ def test_permset_files_read_only_by_cache(path):
         assert re.findall(r"\bread_(?:packed|permset)\b", path.read_text()) == []
 
 
-def _numpy_loaded(*argv: str) -> bool:
+def _loaded_modules(*argv: str) -> set[str]:
     """Run the CLI with argv (or only `import signedgrids`) in a fresh
-    interpreter and report whether numpy ended up in sys.modules."""
+    interpreter and return the names in its sys.modules at the end."""
     code = (
         "import sys\n"
         "import signedgrids\n"
         "if sys.argv[1:]:\n"
         "    from signedgrids.cli import main\n"
         "    assert main(sys.argv[1:]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "print(' '.join(sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("SIGNEDGRIDS_CACHE_DIR", None)
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1] == "True"
+    return set(done.stdout.splitlines()[-1].split())
+
+
+# What a query answered from the store never runs: the array engine and
+# numpy, the oracle, the permutation operators, and `dataclasses` with the
+# `inspect` it loads.
+OFF_THE_WARM_PATH = {"numpy", "dataclasses", "inspect", "signedgrids.oracle", "signedgrids.engine", "signedgrids.perm"}
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = _loaded_modules()
+    assert [name for name in loaded if name.startswith("signedgrids.")] == []
+    assert loaded & OFF_THE_WARM_PATH == set()
 
 
 def test_numpy_stays_off_the_warm_path(tmp_path):
-    # numpy costs ~0.2 s and ~13 MB per process, paid only when a closure,
-    # a growth step or a BFS runs
+    # importing numpy costs ~0.09 s of wall time, ~0.17 s of CPU and ~12 MB
+    # of RSS per process (2-core Xeon, Python 3.11, numpy 2.4), paid only
+    # when a closure, a growth step or a BFS runs
     store = str(tmp_path)
     verify = ("--cache-dir", store, "verify", "--family", "pancake", "--k-max", "8", "--n-max", "5")
-    assert not _numpy_loaded()
-    assert _numpy_loaded(*verify)  # cold: the closures fill the store
-    assert _numpy_loaded(*verify)  # warm: the BFS searches on arrays
-    assert not _numpy_loaded("--cache-dir", store, "--verbose", "pancake", "--k", "8")
-    assert not _numpy_loaded("--cache-dir", store, "pancake", "--k", "7", "--exact")
+    assert {"numpy", "signedgrids.oracle"} <= _loaded_modules(*verify)  # cold: the closures fill the store
+    assert {"numpy", "signedgrids.oracle"} <= _loaded_modules(*verify)  # warm: the BFS searches on arrays
+    warm = [
+        ("--verbose", "pancake", "--k", "8"),
+        ("pancake", "--k", "7", "--exact"),
+        ("--format", "latex", "reversal", "--k", "4", "--exact"),
+        ("pancake", "--k", "6", "--eval", "12"),
+    ]
+    _loaded_modules("--cache-dir", store, "reversal", "--k", "4", "--exact")  # stores reversal S_3 and S_4
+    for argv in warm:
+        assert _loaded_modules("--cache-dir", store, *argv) & OFF_THE_WARM_PATH == set(), argv
+
+
+def test_every_export_resolves():
+    import signedgrids
+    from signedgrids import cache, distance, gridclass, oracle, poly  # the form perfbench/traced.py uses
+
+    assert [name for name in signedgrids.__all__ if not hasattr(signedgrids, name)] == []
+    assert set(signedgrids.__all__) <= set(dir(signedgrids))
+    assert [module.__name__ for module in (cache, distance, gridclass, oracle, poly)] == [
+        "signedgrids.cache",
+        "signedgrids.distance",
+        "signedgrids.gridclass",
+        "signedgrids.oracle",
+        "signedgrids.poly",
+    ]
+    with pytest.raises(AttributeError):
+        signedgrids.no_such_name
 
 
 def test_oracle_keeps_its_own_moves():
