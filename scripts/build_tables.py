@@ -5,12 +5,13 @@ Recompute the distance-class polynomial tables and report measured sizes.
 Prints, for each family and k, the generator-set cardinality |Pi_k| (the
 top entry of the length histogram), the number of compact representatives
 |S_k|, the wall-clock time, the process's peak RSS so far, and the exact
-coefficient array, all from the class's histogram, fetched once.  The
+coefficient array, all from one `distance_class` call per class.  The
 burnt-pancake run covers k <= 8 by default; pass --stretch for k = 9 and
 10 (about 6 s and 0.33 GB of RAM in all, without a store, on a 2-core
 Xeon).  With --cache-dir the histograms are read from that store when
-present; each one computed is written to it, with its generator set Pi_k
-as an export that is never read back.
+present; each one computed is written to it only after its polynomial
+passes `check_polynomial`, and its generator set Pi_k is exported as
+`pi_k.perms`, a file that is never read back.
 
 Usage:
     python scripts/build_tables.py [--stretch] [--cache-dir DIR]
@@ -23,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from signedgrids.distance import Family, check_k, checked_polynomial, distance_histogram  # noqa: E402
+from signedgrids.distance import Family, distance_class  # noqa: E402
 from signedgrids.poly import format_coeff_array  # noqa: E402
 
 
@@ -35,10 +36,8 @@ def peak_rss_mb() -> float:
 def run_family(family: Family, k_max: int, cache_dir: Path | None) -> None:
     print(f"== {family.value} distance classes, k = 0..{k_max}")
     for k in range(k_max + 1):
-        check_k(family, k)
         t0 = time.perf_counter()
-        hist = distance_histogram(family, k, cache_dir)
-        polynomial = checked_polynomial(family, k, hist)
+        hist, polynomial = distance_class(family, k, cache_dir=cache_dir)
         elapsed = time.perf_counter() - t0
         print(
             f"k={k:>2}  |Pi_k|={hist.counts[max(hist.counts)]:>8}  "

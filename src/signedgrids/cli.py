@@ -15,16 +15,7 @@ import sys
 from pathlib import Path
 
 from . import gridclass, poly
-from .distance import (
-    DEFAULT_N_CEILING,
-    Family,
-    ResourceLimitError,
-    check_k,
-    check_polynomial,
-    checked_polynomial,
-    distance_histogram,
-    distance_polynomial,
-)
+from .distance import Family, ResourceLimitError, check_polynomial, distance_class, distance_polynomial
 from .gridclass import LengthHistogram
 
 CACHE_DIR_ENV = "SIGNEDGRIDS_CACHE_DIR"
@@ -88,9 +79,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
     family, k = args.family, args.k
     if args.exact and k == 0:
         raise ValueError("--exact needs k >= 1")
-    check_k(family, k, args.k_ceiling)
-    hist = distance_histogram(family, k, args.cache_dir)
-    p = checked_polynomial(family, k, hist)
+    hist, p = distance_class(family, k, args.k_ceiling, args.cache_dir)
     if args.exact:
         p = p - distance_polynomial(family, k - 1, args.k_ceiling, args.cache_dir)
         check_polynomial(family, k, p)
@@ -170,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-max", type=int, required=True)
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--k-ceiling", type=int, default=None)
-    p_verify.add_argument("--n-ceiling", type=int, default=DEFAULT_N_CEILING)
+    p_verify.add_argument("--n-ceiling", type=int, default=None)
     p_verify.set_defaults(run=cmd_verify)
 
     p_down = sub.add_parser("downset", help="compact representatives of one permutation's class")

@@ -46,16 +46,17 @@ compact rows from the keys a block of rows at a time
 for the store's export.
 
 This module holds the whole pipeline, Pi_k and its downset -> histogram ->
-polynomial, and `distance_histogram` is the only function that reads or
-writes the on-disk store (`cache`).  Pi_k is always grown from Pi_0: the
-store's `pi_k.perms` is an export, never read back.  Every step acts on
-whole `engine` levels (int8 arrays, one row per permutation), so Pi_k is
+polynomial -> store, in one entry point, `distance_class`, the only
+function that reads or writes the on-disk store (`cache`).  It reads a
+stored histogram, or computes one, and checks its polynomial with
+`check_polynomial`; a computed `S_k.hist` is written only after its
+polynomial passes.  Pi_k is always grown from Pi_0: the store's
+`pi_k.perms` is an export, never read back.  Every step acts on whole
+`engine` levels (int8 arrays, one row per permutation), so Pi_k is
 limited to `engine.MAX_LENGTH` (13) entries.  `engine`, with numpy, is
 loaded on the first growth step, and `perm` on the first sorting-sequence
-translation, so a query answered from the store loads neither.  Every
-polynomial passes `check_polynomial` before it is returned.  The ceilings
-on k and on the BFS oracle's n live here too, so the CLI can show their
-defaults without loading the oracle.
+translation, so a query answered from the store loads neither.  The
+ceiling on k lives here too.
 """
 from __future__ import annotations
 
@@ -78,12 +79,11 @@ class Family(enum.Enum):
     PANCAKE = "pancake"  # prefix reversals f_i
     REVERSAL = "reversal"  # block reversals b_{i,j}
 
-    def __str__(self) -> str:  # argparse-friendly
+    def __str__(self) -> str:  # the value alone, as in test ids (`ids=str`)
         return self.value
 
 
 DEFAULT_K_CEILING = {Family.PANCAKE: 10, Family.REVERSAL: 5}
-DEFAULT_N_CEILING = 7  # the BFS oracle's: B_7 has 645120 states
 
 
 class ResourceLimitError(RuntimeError):
@@ -100,17 +100,6 @@ def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
         raise ResourceLimitError(
             f"k={k} exceeds the {family.value} ceiling of {ceiling}; raise it explicitly "
             f"(--k-ceiling {k}) if you intend to wait for this computation"
-        )
-
-
-def check_n(n: int, n_ceiling: int = DEFAULT_N_CEILING) -> None:
-    """Refuse n < 1, or n above the oracle ceiling, before any search starts."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > n_ceiling:
-        raise ResourceLimitError(
-            f"n={n} exceeds the oracle ceiling of {n_ceiling} "
-            f"({2 ** n * factorial(n)} states); raise the ceiling explicitly to proceed"
         )
 
 
@@ -258,31 +247,6 @@ def _generator_length(family: Family, k: int) -> int:
     return k + 1 if family is Family.PANCAKE else 2 * k + 1
 
 
-def distance_histogram(family: Family, k: int, cache_dir: Path | None = None) -> gridclass.LengthHistogram:
-    """
-    Length histogram of the compact representatives of the distance-<=k
-    class: read from the store, else computed (and stored).  Computing
-    grows Pi_k and, with a store, exports it as `pi_k.perms` (k >= 1), a
-    file the program never reads back.
-
-    Every member of Pi_k is compact and of the family's generator length,
-    the longest in the class, so a stored histogram whose top length is
-    not that length raises ValueError naming the file.
-    """
-    if cache_dir is None:
-        return _computed_histogram(family, k, None)
-    path = cache.hist_path(cache_dir, family, k)
-    if path.exists():
-        hist = cache.read_histogram(path)
-        top, length = max(hist.counts, default=0), _generator_length(family, k)
-        if top != length:
-            raise ValueError(f"{path}: {family.value} k={k}: the top length is {top}, not {length}; clear the store")
-        return hist
-    hist = _computed_histogram(family, k, None if k == 0 else cache.pi_path(cache_dir, family, k))
-    cache.write_histogram(path, hist)
-    return hist
-
-
 def _computed_histogram(family: Family, k: int, export: Path | None) -> gridclass.LengthHistogram:
     """
     The compact rows of each level of the downset of Pi_k, counted from its
@@ -307,29 +271,53 @@ def _computed_histogram(family: Family, k: int, export: Path | None) -> gridclas
     return gridclass.LengthHistogram({m: count for m, count in counts.items() if count}, True)
 
 
+def distance_class(
+    family: Family,
+    k: int,
+    k_ceiling: int | None = None,
+    cache_dir: Path | None = None,
+) -> tuple[gridclass.LengthHistogram, poly.Polynomial]:
+    """
+    The length histogram of the compact representatives of the
+    distance-<=k class and its polynomial, which counts signed permutations
+    of length n whose sorting distance under the family is at most k, valid
+    for all n >= 1.
+
+    Raises ResourceLimitError above the ceiling (defaults: pancake 10,
+    reversal 5) before any work starts; pass `k_ceiling` to raise or lower
+    the guard.  The histogram is read from the store, else computed: that
+    grows Pi_k and, with a store, exports it as `pi_k.perms` (k >= 1), a
+    file the program never reads back.  Every member of Pi_k is compact and
+    of the family's generator length, the longest in the class, so a stored
+    histogram whose top length is not that length raises ValueError naming
+    the file.  The polynomial must pass `check_polynomial`, and only then
+    is a computed histogram written to the store.
+    """
+    check_k(family, k, k_ceiling)
+    path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
+    stored = path is not None and path.exists()
+    if stored:
+        hist = cache.read_histogram(path)
+        top, length = max(hist.counts, default=0), _generator_length(family, k)
+        if top != length:
+            raise ValueError(f"{path}: {family.value} k={k}: the top length is {top}, not {length}; clear the store")
+    else:
+        hist = _computed_histogram(family, k, None if path is None or k == 0 else cache.pi_path(cache_dir, family, k))
+    p = poly.from_histogram(hist.counts)
+    check_polynomial(family, k, p)
+    if path is not None and not stored:
+        cache.write_histogram(path, hist)
+    return hist, p
+
+
 def distance_polynomial(
     family: Family,
     k: int,
     k_ceiling: int | None = None,
     cache_dir: Path | None = None,
 ) -> poly.Polynomial:
-    """
-    The polynomial counting signed permutations of length n whose sorting
-    distance under the family is at most k, valid for all n >= 1.
-
-    Raises ResourceLimitError above the ceiling (defaults: pancake 10,
-    reversal 5); pass `k_ceiling` to raise or lower the guard.
-    """
-    check_k(family, k, k_ceiling)
-    return checked_polynomial(family, k, distance_histogram(family, k, cache_dir))
-
-
-def checked_polynomial(family: Family, k: int, hist: gridclass.LengthHistogram) -> poly.Polynomial:
-    """The polynomial of the distance-<=k class with histogram `hist`,
-    once it passes `check_polynomial`."""
-    p = poly.from_histogram(hist.counts)
-    check_polynomial(family, k, p)
-    return p
+    """The polynomial of the distance-<=k class (see `distance_class`)."""
+    return distance_class(family, k, k_ceiling, cache_dir)[1]
 
 
 def check_polynomial(family: Family, k: int, p: poly.Polynomial) -> None:

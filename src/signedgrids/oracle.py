@@ -18,10 +18,25 @@ from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .distance import DEFAULT_N_CEILING, Family, check_k, check_n, distance_polynomial
+from .distance import Family, ResourceLimitError, check_k, distance_polynomial
 
 if TYPE_CHECKING:  # numpy is loaded only when a search starts
     import numpy as np
+
+
+DEFAULT_N_CEILING = 7  # B_7 has 645120 states
+
+
+def check_n(n: int, n_ceiling: int | None = None) -> None:
+    """Refuse n < 1, or n above the ceiling (default 7), before any search starts."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    ceiling = DEFAULT_N_CEILING if n_ceiling is None else n_ceiling
+    if n > ceiling:
+        raise ResourceLimitError(
+            f"n={n} exceeds the oracle ceiling of {ceiling} "
+            f"({2 ** n * factorial(n)} states); raise the ceiling explicitly to proceed"
+        )
 
 
 class DistanceHistogram(NamedTuple):
@@ -63,7 +78,7 @@ def _members(keys: np.ndarray, layer: np.ndarray) -> np.ndarray:
     return layer[at] == keys
 
 
-def bfs_histogram(n: int, family: Family, n_ceiling: int = DEFAULT_N_CEILING) -> DistanceHistogram:
+def bfs_histogram(n: int, family: Family, n_ceiling: int | None = None) -> DistanceHistogram:
     """
     Exact layer sizes of B_n from the identity under the family's
     generators.  Refuses n above the ceiling (default 7, i.e. 645120
@@ -107,7 +122,7 @@ def count_within(
     n: int,
     k: int,
     family: Family,
-    n_ceiling: int = DEFAULT_N_CEILING,
+    n_ceiling: int | None = None,
 ) -> int:
     """Number of length-n permutations at distance at most k."""
     if k < 0:
@@ -177,7 +192,7 @@ def verify(
     k_max: int,
     n_max: int,
     k_ceiling: int | None = None,
-    n_ceiling: int = DEFAULT_N_CEILING,
+    n_ceiling: int | None = None,
     cache_dir: Path | None = None,
 ) -> VerifyReport:
     """

@@ -232,6 +232,24 @@ class TestCache:
         assert (code, out) == (2, "")
         assert f"{family} k={k}: P(2) = -1 is outside 0..2^n n! = 8" in err
 
+    def test_histogram_failing_the_gate_is_never_stored(self, capsys, tmp_path, monkeypatch):
+        # the mutant step drops the first key of each top level of more than
+        # one, so every member it keeps is still compact of the generator
+        # length and only the polynomial's leading coefficient shows the loss
+        level_of = distance._downset_level
+
+        def one_less(below, m, family):
+            keys = level_of(below, m, family)
+            top = m == max(below) + distance._MAX_INSIDE[family]
+            return keys[1:] if top and len(keys) > 1 else keys
+
+        monkeypatch.setattr(distance, "_downset_level", one_less)
+        for _ in range(2):
+            code, out, err = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "3")
+            assert (code, out) == (2, "")
+            assert "leading coefficient" in err
+            assert not (tmp_path / "pancake" / "S_3.hist").exists()
+
     def test_env_var_sets_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         code, _, _ = run(capsys, "reversal", "--k", "2")

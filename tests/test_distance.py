@@ -14,7 +14,7 @@ from signedgrids.distance import (
     ResourceLimitError,
     apply_move,
     check_polynomial,
-    distance_histogram,
+    distance_class,
     distance_polynomial,
     pancake_pi,
     reversal_pi,
@@ -88,7 +88,7 @@ class TestGeneratorCheck:
         monkeypatch.setattr(distance, "_downset_level", one_more)
         monkeypatch.setitem(distance._MAX_INSIDE, Family.PANCAKE, len(extra) - 1)
         with pytest.raises(AssertionError, match="Pi_1"):
-            distance_histogram(Family.PANCAKE, 1, tmp_path)
+            distance_class(Family.PANCAKE, 1, cache_dir=tmp_path)
         # the patched step built the top level of the class, Pi_1
         assert len(tops) == 1 and extra in tops[0]
         assert not (tmp_path / "pancake" / "S_1.hist").exists()
@@ -138,7 +138,7 @@ class TestGeneratorCheck:
         for store in (None, tmp_path):
             refs.clear(), decoded.clear()
             built[:] = [(0, 1)]
-            hist = distance_histogram(Family.REVERSAL, k, store)
+            hist, _ = distance_class(Family.REVERSAL, k, cache_dir=store)
             assert hist.counts[2 * k + 1] == 35
             assert built[1:] == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
             assert alive() == set()
