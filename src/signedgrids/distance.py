@@ -42,19 +42,20 @@ leaves the merge as sorted distinct keys (`engine.unique_keys`).  Those
 of D_1..D_{k-1} are decoded whole for the next step; those of D_k, Pi_k
 first, are yielded one level at a time, and the histogram counts their
 compact rows from the keys a block of rows at a time
-(`engine.compact_count`), so no level of D_k is decoded whole except Pi_k
-for the store's export.
+(`engine.compact_count`), so no level of D_k is ever decoded whole.
 
 This module holds the whole pipeline, Pi_k and its downset -> histogram ->
 polynomial -> store, in one entry point, `distance_class`, the only
 function that reads or writes the on-disk store (`cache`).  It reads a
 stored histogram, or computes one, and checks its polynomial with
-`check_polynomial`; a computed `S_k.hist` is written only after its
-polynomial passes.  Pi_k is always grown from Pi_0: the store's
-`pi_k.perms` is an export, never read back.  Every step acts on whole
-`engine` levels (int8 arrays, one row per permutation), so Pi_k is
-limited to `engine.MAX_LENGTH` (13) entries.  `engine`, with numpy, is
-loaded on the first growth step, and `perm` on the first sorting-sequence
+`check_polynomial`; only after its polynomial passes is a computed class
+written: `pi_k.perms` (k >= 1), Pi_k grown again by `generator_set` as an
+export that is never read back, then `S_k.hist` last, so a stored
+histogram means both files are whole.  Every step acts on whole `engine`
+levels (int8 arrays, one row per permutation), so Pi_k is limited to
+`engine.MAX_LENGTH` (13) entries, and a longer Pi_k is refused before the
+first growth step.  `engine`, with numpy, is loaded when Pi_k or its
+downset is first computed, and `perm` on the first sorting-sequence
 translation, so a query answered from the store loads neither.  The
 ceiling on k lives here too.
 """
@@ -206,11 +207,13 @@ def _downset(family: Family, k: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def generator_set(family: Family, k: int) -> np.ndarray:
     """Pi_k as an `engine` level, grown from Pi_0 one top level at a time;
-    no file is read or written."""
+    no file is read or written.  A Pi_k longer than the engine's limit
+    raises ValueError before the first step."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     from . import engine
 
+    engine.check_length(_generator_length(family, k))
     level = engine.rows([(1,)], 1)
     for _ in range(k):
         m = level.shape[1] + _MAX_INSIDE[family]
@@ -247,26 +250,25 @@ def _generator_length(family: Family, k: int) -> int:
     return k + 1 if family is Family.PANCAKE else 2 * k + 1
 
 
-def _computed_histogram(family: Family, k: int, export: Path | None) -> gridclass.LengthHistogram:
+def _computed_histogram(family: Family, k: int) -> gridclass.LengthHistogram:
     """
     The compact rows of each level of the downset of Pi_k, counted from its
-    keys as the levels are built and then dropped.  Pi_k, the first level,
-    must be compact rows of the generator length, or AssertionError is
-    raised before anything is written; it is decoded whole only to be
-    written to `export`, if that is given.
+    keys as the levels are built and then dropped; no level of it is
+    decoded whole and no file is touched.  A Pi_k longer than the engine's limit
+    raises ValueError before the first growth step.  Pi_k, the first
+    level, must be compact rows of the generator length, or AssertionError
+    is raised.
     """
     from . import engine
 
+    length = _generator_length(family, k)
+    engine.check_length(length)
     counts: dict[int, int] = {}
     for m, keys in _downset(family, k):
         counts[m] = engine.compact_count(keys, m)
-        if len(counts) == 1:  # Pi_k
-            length = _generator_length(family, k)
-            if (m, counts[m]) != (length, len(keys)):
-                found = f"{len(keys)} members of length {m}, {counts[m]} of them compact"
-                raise AssertionError(f"{family.value} k={k}: Pi_{k} has {found}, not all compact of length {length}")
-            if export is not None:
-                cache.write_levels(export, [engine.from_keys(keys, m)])
+        if len(counts) == 1 and (m, counts[m]) != (length, len(keys)):  # Pi_k
+            found = f"{len(keys)} members of length {m}, {counts[m]} of them compact"
+            raise AssertionError(f"{family.value} k={k}: Pi_{k} has {found}, not all compact of length {length}")
         del keys  # before the next level is built
     return gridclass.LengthHistogram({m: count for m, count in counts.items() if count}, True)
 
@@ -285,13 +287,14 @@ def distance_class(
 
     Raises ResourceLimitError above the ceiling (defaults: pancake 10,
     reversal 5) before any work starts; pass `k_ceiling` to raise or lower
-    the guard.  The histogram is read from the store, else computed: that
-    grows Pi_k and, with a store, exports it as `pi_k.perms` (k >= 1), a
-    file the program never reads back.  Every member of Pi_k is compact and
-    of the family's generator length, the longest in the class, so a stored
+    the guard.  The histogram is read from the store, else computed from
+    the downset of Pi_k.  Every member of Pi_k is compact and of the
+    family's generator length, the longest in the class, so a stored
     histogram whose top length is not that length raises ValueError naming
     the file.  The polynomial must pass `check_polynomial`, and only then
-    is a computed histogram written to the store.
+    is a computed class written to the store: Pi_k, grown again, as
+    `pi_k.perms` (k >= 1), an export the program never reads back, and
+    then `S_k.hist`, last.
     """
     check_k(family, k, k_ceiling)
     path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
@@ -302,10 +305,12 @@ def distance_class(
         if top != length:
             raise ValueError(f"{path}: {family.value} k={k}: the top length is {top}, not {length}; clear the store")
     else:
-        hist = _computed_histogram(family, k, None if path is None or k == 0 else cache.pi_path(cache_dir, family, k))
+        hist = _computed_histogram(family, k)
     p = poly.from_histogram(hist.counts)
     check_polynomial(family, k, p)
     if path is not None and not stored:
+        if k:
+            cache.write_levels(cache.pi_path(cache_dir, family, k), [generator_set(family, k)])
         cache.write_histogram(path, hist)
     return hist, p
 

@@ -56,7 +56,8 @@ import numpy as np
 
 from .perm import SignedPerm
 
-# Levels come from `rows` or `split_column`, which both check this limit.
+# Levels come from `rows` or `split_column`, which both check this limit;
+# `distance` checks it before a class's first growth step.
 MAX_LENGTH = 13
 
 # Rows per block when a level's single deletions are keyed, and when rows
@@ -77,7 +78,7 @@ _OFFSET = 16
 _SHARED_INTS = np.array(range(-MAX_LENGTH, MAX_LENGTH + 1), dtype=object)
 
 
-def _check_length(m: int) -> None:
+def check_length(m: int) -> None:
     """Refuse rows longer than the engine's exact-key limit."""
     if m > MAX_LENGTH:
         raise ValueError(
@@ -87,7 +88,7 @@ def _check_length(m: int) -> None:
 
 def rows(perms: Iterable[SignedPerm], m: int) -> np.ndarray:
     """The level holding the given permutations, all of length m, in order."""
-    _check_length(m)
+    check_length(m)
     listed = list(perms)
     return np.array(listed, dtype=np.int8).reshape(len(listed), m)
 
@@ -125,7 +126,7 @@ def split_column(level: np.ndarray, i: int) -> np.ndarray:
     sign: entries above it in absolute value move one step away from zero
     to make room, and v becomes v, v+1 (positive) or v-1, v (negative)."""
     n, m = level.shape
-    _check_length(m + 1)
+    check_length(m + 1)
     v = level[:, i]
     a = np.abs(level[:, i : i + 1])
     widened = level + (level > a)

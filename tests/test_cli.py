@@ -109,6 +109,17 @@ class TestDistanceCommands:
         assert code == 0
         assert out == "[1, 1, -1, 1]\n"
 
+    @pytest.mark.parametrize("family,k", [("reversal", "7"), ("pancake", "13")])
+    def test_class_past_the_engine_limit_refused_before_growth(self, capsys, monkeypatch, family, k):
+        # Pi_7 of reversal has 15 entries and Pi_13 of pancake 14: both are
+        # refused before the first growth step, which the patch would fail
+        monkeypatch.setattr(distance, "_downset_level", _no_growth)
+        code, out, err = run(capsys, family, "--k", k, "--k-ceiling", k)
+        assert (code, out) == (2, "")
+        assert "limit of 13 entries" in err
+        with pytest.raises(ValueError, match="limit of 13 entries"):
+            distance.pancake_pi(13)
+
     def test_eval_integer(self, capsys):
         code, out, _ = run(capsys, "pancake", "--k", "2", "--eval", "4")
         assert code == 0
@@ -249,6 +260,7 @@ class TestCache:
             assert (code, out) == (2, "")
             assert "leading coefficient" in err
             assert not (tmp_path / "pancake" / "S_3.hist").exists()
+            assert not (tmp_path / "pancake" / "pi_3.perms").exists()
 
     def test_env_var_sets_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))

@@ -101,12 +101,14 @@ class TestGeneratorCheck:
         # D_j(m) is built, D_{j-1} once D_j is whole, and the last step
         # keeps no level it has yielded.  The last step counts every level,
         # Pi_k included, from its keys in blocks of at most `block` rows,
-        # and decodes Pi_k whole only for the store's export.
+        # and decodes none whole.  Only once the walk is over does a store
+        # get Pi_k, grown again by `generator_set`.
         k, block = 3, 8
         refs = {}  # (j, m) -> weak references to D_j(m), as keys and as rows
         built = []  # (j, m), from D_0(1), the base, decoded before any step
         decoded = []  # (length, rows decoded) on the last step
-        level_of, from_keys = distance._downset_level, engine.from_keys
+        after = []  # growth steps and decodes once the walk is over
+        level_of, from_keys, walk = distance._downset_level, engine.from_keys, distance._computed_histogram
 
         def alive():
             return {key for key, held in refs.items() if any(ref() is not None for ref in held)}
@@ -116,6 +118,9 @@ class TestGeneratorCheck:
             return level
 
         def recording_level(below, m, family):
+            if built[-1] is None:
+                after.append(("step", m))
+                return level_of(below, m, family)
             # m falls within a step and rises at the start of the next
             j = built[-1][0] + (m > built[-1][1])
             older = {(j - 1, shorter) for shorter in range(1, m + 1)}
@@ -125,6 +130,9 @@ class TestGeneratorCheck:
             return record(level_of(below, m, family))
 
         def recording_from_keys(keys, m):
+            if built[-1] is None:
+                after.append(("decode", m, len(keys)))
+                return from_keys(keys, m)
             j, length = built[-1]
             if j < k:
                 record(keys)
@@ -132,21 +140,31 @@ class TestGeneratorCheck:
             decoded.append((length, len(keys)))
             return from_keys(keys, m)
 
+        def recording_walk(*args):
+            hist = walk(*args)
+            built.append(None)  # the walk is over
+            return hist
+
         monkeypatch.setattr(distance, "_downset_level", recording_level)
+        monkeypatch.setattr(distance, "_computed_histogram", recording_walk)
         monkeypatch.setattr(engine, "from_keys", recording_from_keys)
         monkeypatch.setattr(engine, "_COUNT_ROWS", block)
         for store in (None, tmp_path):
-            refs.clear(), decoded.clear()
+            refs.clear(), decoded.clear(), after.clear()
             built[:] = [(0, 1)]
             hist, _ = distance_class(Family.REVERSAL, k, cache_dir=store)
             assert hist.counts[2 * k + 1] == 35
-            assert built[1:] == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
+            assert built[1:-1] == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
             assert alive() == set()
             # every level of D_k, some of them longer than a block, is
-            # counted a block at a time; only the export decodes Pi_k whole
+            # counted a block at a time, and none is decoded whole
             assert {m for m, _ in decoded} == set(range(1, 2 * k + 2))
-            assert [(m, n) for m, n in decoded if n > block] == ([] if store is None else [(2 * k + 1, 35)])
+            assert [(m, n) for m, n in decoded if n > block] == []
             assert max(hist.counts.values()) > block
+            # after the walk, a store's export takes the k top-level steps
+            # of `generator_set` and decodes each top level once, Pi_k last
+            tops = [("step", 3), ("decode", 3, 1), ("step", 5), ("decode", 5, 4), ("step", 7), ("decode", 7, 35)]
+            assert after == ([] if store is None else tops)
 
 
 @pytest.mark.parametrize(
