@@ -15,9 +15,10 @@ block reversals give members of length 2k+1.  Member counts are measured,
 never assumed: `pancake_pi(k)` deduplicates at every level and callers can
 take `len()` of the result.  Every member is compact and of the longest
 length in its class, so |Pi_k| is the top entry of the class's length
-histogram.  A computed Pi_k is checked for both as soon as it is built,
-before anything is written, and a stored histogram's top length is
-checked when it is read.
+histogram.  Only the first fact needs Pi_k itself: a computed Pi_k is
+checked for it as soon as it is built, before anything is written.  The
+second is a fact of the histogram, so the polynomial gate checks it on
+every class, stored or computed (the degree check below).
 
 The class's histogram counts the compact members of the downset of Pi_k
 (its members and everything they contain), and the same recursion grows
@@ -44,17 +45,47 @@ first, are yielded one level at a time, and the histogram counts their
 compact rows from the keys a block of rows at a time
 (`engine.compact_count`), so no level of D_k is ever decoded whole.
 
+Every distance class satisfies two facts that its histogram can show.
+Let S be the compact members of the class, the empty permutation
+epsilon included, c_m the number of length m (c_0 = 1 for epsilon), e_m
+the number of length m that end in +m (e_0 = 0), and L the generator
+length.  The class is closed under deleting an entry, and under
+appending a new largest entry (sigma -> sigma + 1), since the moves that
+sort sigma touch no position past |sigma|.  Every compact member of the
+class lies in the downset of Pi_k, because inflating a compact tau by
+any entry > 1 makes it non-compact, so S is what the histogram counts.
+Let phi delete the last entry of a tau in S that ends in +|tau|, and
+append +(|tau| + 1) to any other.  Appending keeps tau compact: the new
+pair (x, |tau| + 1) differs by exactly 1 only for x = +|tau|, which is
+excluded.  Deleting leaves no last entry +(|tau| - 1), since tau would
+then hold the pair (|tau| - 1, |tau|).  So phi is an involution on S
+with no fixed point that matches the members of length m not ending in
++m with those of length m + 1 that end in +(m + 1):
+
+    e_m + e_{m-1} = c_{m-1}   for m = 1, ..., L + 1, with e_{L+1} = 0,
+
+so every compact member of length L, Pi_k included, ends in +L.  Summed
+with alternating signs, sum_m (-1)^m c_m = 0, and the polynomial, whose
+value at n = 0 is sum_{m>=1} (-1)^(m-1) c_m, has P(0) = 1.  The walk
+(`_computed_histogram`) checks the per-level identity once it has
+counted every level, and `distance_class` checks P(0) = 1 and epsilon on
+every histogram, stored or computed, after `check_polynomial`.  Neither
+holds for an arbitrary grid class, which need not be closed under
+appending a maximum (Grid({21}) has P(n) = n, so P(0) = 0), so
+`gridclass` and `enumerate` check neither.
+
 This module holds the whole pipeline, Pi_k and its downset -> histogram ->
 polynomial -> store, in one entry point, `distance_class`, the only
 function that reads or writes the on-disk store (`cache`).  It reads a
-stored histogram, or computes one, and checks its polynomial with
-`check_polynomial`; only after its polynomial passes is a computed class
-written: `pi_k.perms` (k >= 1), Pi_k grown again by `generator_set` as an
-export that is never read back, then `S_k.hist` last, so a stored
-histogram means both files are whole.  Every step acts on whole `engine`
-levels (int8 arrays, one row per permutation), so Pi_k is limited to
-`engine.MAX_LENGTH` (13) entries, and a longer Pi_k is refused before the
-first growth step.  `engine`, with numpy, is loaded when Pi_k or its
+stored histogram, or computes one, and passes both through one gate,
+`check_polynomial` and then P(0) = 1; a stored histogram that fails is
+refused naming the file, and only after its polynomial passes is a
+computed class written: `pi_k.perms` (k >= 1), Pi_k grown again by
+`generator_set` as an export that is never read back, then `S_k.hist`
+last, so a stored histogram means both files are whole.  Every step
+acts on whole `engine` levels (int8 arrays, one row per permutation), so
+Pi_k is limited to `engine.MAX_LENGTH` (13) entries, and a longer Pi_k
+is refused before the first growth step.  `engine`, with numpy, is loaded when Pi_k or its
 downset is first computed, and `perm` on the first sorting-sequence
 translation, so a query answered from the store loads neither.  The
 ceiling on k lives here too.
@@ -254,23 +285,31 @@ def _computed_histogram(family: Family, k: int) -> gridclass.LengthHistogram:
     """
     The compact rows of each level of the downset of Pi_k, counted from its
     keys as the levels are built and then dropped; no level of it is
-    decoded whole and no file is touched.  A Pi_k longer than the engine's limit
-    raises ValueError before the first growth step.  Pi_k, the first
-    level, must be compact rows of the generator length, or AssertionError
-    is raised.
+    decoded whole and no file is touched.  A Pi_k longer than the engine's
+    limit raises ValueError before the first growth step.  Two facts that
+    the histogram cannot show are checked here, each with an explicit
+    raise of AssertionError: every member of Pi_k, the first level, is
+    compact, and, once every level is counted, the per-level identity
+    e_m + e_{m-1} = c_{m-1} for m = 1..L+1 (see the module docstring),
+    with e_m the compact rows of length m that end in +m.  That the top
+    length is L is a fact of the histogram, left to the polynomial gate.
     """
     from . import engine
 
     length = _generator_length(family, k)
     engine.check_length(length)
-    counts: dict[int, int] = {}
+    counts, ends = {0: 1}, {0: 0}  # the empty permutation, which ends in no +0
     for m, keys in _downset(family, k):
-        counts[m] = engine.compact_count(keys, m)
-        if len(counts) == 1 and (m, counts[m]) != (length, len(keys)):  # Pi_k
-            found = f"{len(keys)} members of length {m}, {counts[m]} of them compact"
-            raise AssertionError(f"{family.value} k={k}: Pi_{k} has {found}, not all compact of length {length}")
+        counts[m], ends[m] = engine.compact_count(keys, m)
+        if len(counts) == 2 and counts[m] != len(keys):  # Pi_k
+            raise AssertionError(f"{family.value} k={k}: Pi_{k} has {len(keys)} members, {counts[m]} of them compact")
         del keys  # before the next level is built
-    return gridclass.LengthHistogram({m: count for m, count in counts.items() if count}, True)
+    ends[length + 1] = 0  # a longer level is the degree check's to refuse
+    for m in range(1, length + 2):
+        end, want = ends.get(m, 0), counts.get(m - 1, 0) - ends.get(m - 1, 0)
+        if end != want:
+            raise AssertionError(f"{family.value} k={k}: {end} compact members of length {m} end in +{m}, not {want}")
+    return gridclass.LengthHistogram({m: count for m, count in counts.items() if m and count}, True)
 
 
 def distance_class(
@@ -288,26 +327,24 @@ def distance_class(
     Raises ResourceLimitError above the ceiling (defaults: pancake 10,
     reversal 5) before any work starts; pass `k_ceiling` to raise or lower
     the guard.  The histogram is read from the store, else computed from
-    the downset of Pi_k.  Every member of Pi_k is compact and of the
-    family's generator length, the longest in the class, so a stored
-    histogram whose top length is not that length raises ValueError naming
-    the file.  The polynomial must pass `check_polynomial`, and only then
-    is a computed class written to the store: Pi_k, grown again, as
-    `pi_k.perms` (k >= 1), an export the program never reads back, and
-    then `S_k.hist`, last.
+    the downset of Pi_k, and either passes the same gate: `check_polynomial`,
+    then the empty permutation with P(0) = 1 (see the module docstring).
+    A stored histogram that fails raises ValueError naming the file.  Only
+    a computed class that passes is written to the store: Pi_k, grown
+    again, as `pi_k.perms` (k >= 1), an export the program never reads
+    back, and then `S_k.hist`, last.
     """
     check_k(family, k, k_ceiling)
     path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
     stored = path is not None and path.exists()
-    if stored:
-        hist = cache.read_histogram(path)
-        top, length = max(hist.counts, default=0), _generator_length(family, k)
-        if top != length:
-            raise ValueError(f"{path}: {family.value} k={k}: the top length is {top}, not {length}; clear the store")
-    else:
-        hist = _computed_histogram(family, k)
+    hist = cache.read_histogram(path) if stored else _computed_histogram(family, k)
     p = poly.from_histogram(hist.counts)
-    check_polynomial(family, k, p)
+    try:
+        check_polynomial(family, k, p)
+        if not (hist.has_epsilon and p(0) == 1):
+            raise ValueError(f"{family.value} k={k}: epsilon={int(hist.has_epsilon)} and P(0) = {p(0)}, not 1 and 1")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; clear the store") if stored else exc
     if path is not None and not stored:
         if k:
             cache.write_levels(cache.pi_path(cache_dir, family, k), [generator_set(family, k)])
@@ -329,8 +366,11 @@ def check_polynomial(family: Family, k: int, p: poly.Polynomial) -> None:
     """
     Raise ValueError, naming k and the check, unless p passes the cheap
     invariants of a count of signed permutations by distance (at most k, or
-    exactly k): integer values at n = 1..deg+1, each within 0..2^n n!, and
-    for pancakes a leading coefficient of 1 (degree k, as in the tables).
+    exactly k): integer values at n = 1..deg+1, each within 0..2^n n!, for
+    pancakes a leading coefficient of 1, and degree L - 1, where L is the
+    generator length (k + 1 for pancakes, 2k + 1 for reversals).  For a
+    histogram of positive counts that degree says its top length is L, the
+    length of Pi_k; the difference of two classes has the larger's degree.
     """
     for n in range(1, p.degree + 2):
         value = p(n)
@@ -341,6 +381,9 @@ def check_polynomial(family: Family, k: int, p: poly.Polynomial) -> None:
     lead = p.coeffs[-1] if p else 0
     if family is Family.PANCAKE and lead != 1:
         raise ValueError(f"{family.value} k={k}: the leading coefficient of P is {lead}, not 1")
+    degree = _generator_length(family, k) - 1
+    if p.degree != degree:
+        raise ValueError(f"{family.value} k={k}: P has degree {p.degree}, not {degree}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,15 @@ times as long on ten million keys.  `unique_keys` is the engine's only
 union, and a caller that needs rows decodes its keys with the length it
 already has, as `expand` and the closure do.  The codec is public for
 them, for the BFS oracle, which keeps its layers as sorted keys, and for
-`distance`, which counts the compact rows of most downset levels from
-their keys:
+`distance`, which counts the compact rows of every downset level of the
+last class from their keys:
 
     keys(level)               the key of every row
     from_keys(keys, m)        keys -> a level of length m
     unique_keys(parts)        the sorted distinct keys of same-length levels,
                               at least one of them
-    compact_count(keys, m)    the compact rows among keys, a block at a time
+    compact_count(keys, m)    the compact rows among keys, and those of them
+                              that end in +m, a block at a time
 
 Levels are column-major where they are made in bulk: `from_keys` and
 `split_column` write them a column at a time, and `keys` reads them a
@@ -175,13 +176,17 @@ def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
     return columns.T
 
 
-def compact_count(keys: np.ndarray, m: int) -> int:
-    """The number of compact rows among keys of length-m rows, decoded one
-    block of rows at a time, so no whole level is ever decoded."""
-    return sum(
-        int(compact_mask(from_keys(keys[start : start + _COUNT_ROWS], m)).sum())
-        for start in range(0, len(keys), _COUNT_ROWS)
-    )
+def compact_count(keys: np.ndarray, m: int) -> tuple[int, int]:
+    """The number of compact rows among keys of length-m rows, and of
+    those that end in +m, decoded one block of rows at a time, so no whole
+    level is ever decoded."""
+    compact = ends = 0
+    for start in range(0, len(keys), _COUNT_ROWS):
+        level = from_keys(keys[start : start + _COUNT_ROWS], m)
+        mask = compact_mask(level)
+        compact += int(np.count_nonzero(mask))
+        ends += int(np.count_nonzero(mask & (level[:, -1] == m)))
+    return compact, ends
 
 
 def unique_keys(parts: Iterable[np.ndarray]) -> np.ndarray:

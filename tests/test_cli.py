@@ -5,6 +5,7 @@ import pytest
 
 from signedgrids import distance, engine
 from signedgrids.cli import CACHE_DIR_ENV, main
+from signedgrids.gridclass import LengthHistogram
 
 
 def _no_growth(below, m, family):
@@ -229,32 +230,53 @@ class TestCache:
         assert (code, out) == (2, "")
         assert "pancake k=4" in err and "leading coefficient" in err
 
-    @pytest.mark.parametrize("family,k,old,new", [("pancake", 3, "2 3", "2 6"), ("reversal", 2, "2 2", "2 6")])
-    def test_exact_rejects_a_shorter_class_larger_than_its_successor(self, capsys, tmp_path, family, k, old, new):
-        # the edited S_{k-1}.hist still passes every check on P_{k-1} alone;
-        # only P_k - P_{k-1} shows it, negative at n = 2
+    @pytest.mark.parametrize(
+        "k,old,new",
+        [(4, "epsilon 1", "epsilon 0"), (4, "3 26", "3 27"), (9, "9 1007459", "9 1007460")],
+        ids=["no-epsilon", "one-more-at-3", "one-more-at-9"],
+    )
+    def test_histogram_failing_p0_rejected(self, capsys, tmp_path, k, old, new):
+        # each edited file parses, keeps its top length and passes
+        # `check_polynomial`; only P(0) = 1 with the empty permutation shows it
+        run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", str(k))
+        target = tmp_path / "pancake" / f"S_{k}.hist"
+        text = target.read_text()
+        target.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        assert target.read_text() != text
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "pancake", "--k", str(k))
+        assert (code, out) == (2, "")
+        assert f"S_{k}.hist: pancake k={k}: epsilon=" in err and "P(0)" in err and "clear the store" in err
+
+    @pytest.mark.parametrize(
+        "family,k,edits,check",
+        [
+            ("pancake", 3, {"2 3": "2 6"}, "S_2.hist: pancake k=2: epsilon=1 and P(0) = -2"),
+            ("reversal", 2, {"2 2": "2 6", "3 1": "3 5"}, "reversal k=2: P(2) = -1 is outside 0..2^n n! = 8"),
+        ],
+        ids=["pancake-3-2 3-2 6", "reversal-2-2 2-2 6"],
+    )
+    def test_exact_rejects_a_shorter_class_larger_than_its_successor(self, capsys, tmp_path, family, k, edits, check):
+        # The edited reversal S_1.hist passes every check on P_1 alone, P(0)
+        # = 1 included; only P_2 - P_1 shows it, negative at n = 2.  No edit
+        # of two pancake count lines by up to 6 each passes the gate on
+        # P_{k-1} and fails only the difference at k = 3, 4 or 5, so the
+        # pancake case is refused on S_2.hist itself.
         for j in range(1, k + 1):
             run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(j))
         target = tmp_path / family / f"S_{k - 1}.hist"
-        lines = target.read_text().splitlines(keepends=True)
-        target.write_text("".join(new + "\n" if line == old + "\n" else line for line in lines))
-        assert target.read_text() != "".join(lines)
+        lines = target.read_text().splitlines()
+        assert sum(line in edits for line in lines) == len(edits)
+        target.write_text("".join(edits.get(line, line) + "\n" for line in lines))
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k), "--exact")
         assert (code, out) == (2, "")
-        assert f"{family} k={k}: P(2) = -1 is outside 0..2^n n! = 8" in err
+        assert check in err
 
     def test_histogram_failing_the_gate_is_never_stored(self, capsys, tmp_path, monkeypatch):
-        # the mutant step drops the first key of each top level of more than
-        # one, so every member it keeps is still compact of the generator
-        # length and only the polynomial's leading coefficient shows the loss
-        level_of = distance._downset_level
-
-        def one_less(below, m, family):
-            keys = level_of(below, m, family)
-            top = m == max(below) + distance._MAX_INSIDE[family]
-            return keys[1:] if top and len(keys) > 1 else keys
-
-        monkeypatch.setattr(distance, "_downset_level", one_less)
+        # the true pancake k = 3 histogram less one member of Pi_3: every
+        # count positive and the top length right, so only the polynomial's
+        # leading coefficient shows the loss
+        less_one = LengthHistogram({1: 2, 2: 5, 3: 10, 4: 5}, True)
+        monkeypatch.setattr(distance, "_computed_histogram", lambda family, k: less_one)
         for _ in range(2):
             code, out, err = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "3")
             assert (code, out) == (2, "")

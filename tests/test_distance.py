@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from signedgrids import distance, engine, gridclass
+from signedgrids.cli import main
 from signedgrids.distance import (
     Family,
     ResourceLimitError,
@@ -70,11 +71,17 @@ class TestReversalPi:
 
 
 class TestGeneratorCheck:
-    @pytest.mark.parametrize("extra", [(1, 2), (2, -1, 3)], ids=["non-compact", "too-long"])
-    def test_extra_member_rejected_before_store(self, tmp_path, monkeypatch, extra):
+    @pytest.mark.parametrize(
+        "extra,error,check",
+        [((1, 2), AssertionError, "Pi_1"), ((2, -1, 3), ValueError, "pancake k=1: P has degree 2, not 1")],
+        ids=["non-compact", "too-long"],
+    )
+    def test_extra_member_rejected_before_store(self, tmp_path, monkeypatch, extra, error, check):
         # The mutant step adds `extra` to the level of its length.  The rows
         # of a level share one length, so a longer member needs a longer top
         # level: for it, a pancake flip may also cut inside two split entries.
+        # Only the walk sees that a member of Pi_k is not compact; a top
+        # length past the generator length is the polynomial gate's degree.
         level_of = distance._downset_level
         tops = []
 
@@ -87,7 +94,7 @@ class TestGeneratorCheck:
 
         monkeypatch.setattr(distance, "_downset_level", one_more)
         monkeypatch.setitem(distance._MAX_INSIDE, Family.PANCAKE, len(extra) - 1)
-        with pytest.raises(AssertionError, match="Pi_1"):
+        with pytest.raises(error, match=check):
             distance_class(Family.PANCAKE, 1, cache_dir=tmp_path)
         # the patched step built the top level of the class, Pi_1
         assert len(tops) == 1 and extra in tops[0]
@@ -167,6 +174,90 @@ class TestGeneratorCheck:
             assert after == ([] if store is None else tops)
 
 
+_SPLIT_MOVES, _DOWNSET_LEVEL = distance._split_moves, distance._downset_level
+
+
+def _pancake_without_the_full_flip(shortest):
+    """Pancake M_0 without the flip of the whole row, on rows at least
+    `shortest` long."""
+
+    def mutant(level, family, inside):
+        m = level.shape[1]
+        if inside or m < shortest:
+            yield from _SPLIT_MOVES(level, family, inside)
+        else:
+            yield from distance._reverse_segments(level, [(0, b) for b in range(m)])
+
+    return mutant
+
+
+def _reversal_without_the_empty_segment(level, family, inside):
+    if inside:
+        yield from _SPLIT_MOVES(level, family, inside)
+        return
+    m = level.shape[1]
+    yield from distance._reverse_segments(level, [(a, b) for a in range(m) for b in range(a + 1, m + 1)])
+
+
+def _reversal_m1_without_its_last_right_cut(level, family, inside):
+    if inside != 1:
+        yield from _SPLIT_MOVES(level, family, inside)
+        return
+    for j in range(level.shape[1]):
+        once = engine.split_column(level, j)
+        yield from distance._reverse_segments(once, [(min(b, j + 1), max(b, j + 1)) for b in range(once.shape[1])])
+
+
+def _one_less(below, m, family):
+    """Drop the first key of each top level of more than one."""
+    keys = _DOWNSET_LEVEL(below, m, family)
+    top = m == max(below) + distance._MAX_INSIDE[family]
+    return keys[1:] if top and len(keys) > 1 else keys
+
+
+class TestLevelIdentity:
+    # Growth mutants, each caught by e_m + e_{m-1} = c_{m-1} at the length
+    # given.  All but the last printed a wrong polynomial with exit 0 before
+    # the identity was checked: every value an integer in range, and for
+    # pancakes a leading coefficient of 1.  The long-rows-only pancake
+    # mutant damages no level shorter than 9.  `_one_less` was already
+    # refused by the leading coefficient, and now fails the identity first.
+    @pytest.mark.parametrize(
+        "target,mutant,family,k,m",
+        [
+            ("_split_moves", _pancake_without_the_full_flip(1), Family.PANCAKE, 3, 2),
+            ("_split_moves", _pancake_without_the_full_flip(9), Family.PANCAKE, 9, 10),
+            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 2, 2),
+            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 4, 2),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 2, 4),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 3, 4),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 4, 5),
+            ("_downset_level", _one_less, Family.PANCAKE, 3, 3),
+        ],
+        ids=[
+            "pancake-no-full-flip-3",
+            "pancake-no-full-flip-on-long-rows-9",
+            "reversal-no-empty-segment-2",
+            "reversal-no-empty-segment-4",
+            "reversal-m1-no-last-right-cut-2",
+            "reversal-m1-no-last-right-cut-3",
+            "reversal-m1-no-last-right-cut-4",
+            "pancake-one-less-3",
+        ],
+    )
+    def test_growth_mutant_refused(self, tmp_path, capsys, monkeypatch, target, mutant, family, k, m):
+        monkeypatch.setattr(distance, target, mutant)
+        found = rf"{family.value} k={k}: \d+ compact members of length {m} end in \+{m}, not \d+$"
+        with pytest.raises(AssertionError, match=found):
+            distance_class(family, k, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        # the CLI lets AssertionError through, so the process exits nonzero
+        with pytest.raises(AssertionError, match=f"length {m} end in"):
+            main(["--cache-dir", str(tmp_path), family.value, "--k", str(k)])
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "family,k",
     [
@@ -228,6 +319,7 @@ class TestDistancePolynomial:
             (Family.REVERSAL, [-2, 1], "outside"),  # P(1) = -1
             (Family.PANCAKE, [0, 2], "leading coefficient"),
             (Family.PANCAKE, [], "leading coefficient"),
+            (Family.REVERSAL, [1, 1], "degree"),  # 1 + n: every value passes, but not degree 4
         ],
     )
     def test_gate_rejects(self, family, coeffs, check):

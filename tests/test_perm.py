@@ -435,6 +435,13 @@ class TestArrayEngine:
         assert live[0::2] == [0] + [1] * (merges - 1)
         assert live[1::2] == [0] * merges
 
+    def test_compact_count_a_block_at_a_time(self, monkeypatch):
+        # all of B_4, counted in blocks of 7 keys, the last one partial
+        monkeypatch.setattr(engine, "_COUNT_ROWS", 7)
+        keys = engine.keys(engine.rows(self.LEVEL, 4))
+        compact = [p for p in self.LEVEL if is_compact(p)]
+        assert engine.compact_count(keys, 4) == (len(compact), sum(p[-1] == 4 for p in compact))
+
     def test_expand_is_every_single_deletion(self):
         members = [(4, -1, 3, -2), (-2, 1, 4, 3), (1, 2, 3, 4)]
         expected = sorted({delete(p, i) for p in members for i in range(1, 5)})
