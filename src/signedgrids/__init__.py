@@ -23,7 +23,7 @@ _EXPORTS = {
         "grid_member",
         "length_histogram",
     ),
-    "oracle": ("DistanceHistogram", "bfs_histogram", "count_within", "verify"),
+    "oracle": ("DistanceHistogram", "ball", "bfs_histogram", "count_within", "verify"),
     "perm": (
         "SignedPerm",
         "block_reversal",

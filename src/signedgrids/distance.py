@@ -78,17 +78,19 @@ This module holds the whole pipeline, Pi_k and its downset -> histogram ->
 polynomial -> store, in one entry point, `distance_class`, the only
 function that reads or writes the on-disk store (`cache`).  It reads a
 stored histogram, or computes one, and passes both through one gate,
-`check_polynomial` and then P(0) = 1; a stored histogram that fails is
-refused naming the file, and only after its polynomial passes is a
-computed class written: `pi_k.perms` (k >= 1), Pi_k grown again by
-`generator_set` as an export that is never read back, then `S_k.hist`
-last, so a stored histogram means both files are whole.  Every step
-acts on whole `engine` levels (int8 arrays, one row per permutation), so
-Pi_k is limited to `engine.MAX_LENGTH` (13) entries, and a longer Pi_k
-is refused before the first growth step.  `engine`, with numpy, is loaded when Pi_k or its
-downset is first computed, and `perm` on the first sorting-sequence
-translation, so a query answered from the store loads neither.  The
-ceiling on k lives here too.
+`check_polynomial`, then P(0) = 1, then the BFS counts of B_1..B_7
+(`check_counts`, which reads them from literals, not from a search); a
+stored histogram that fails is refused naming the file, and only after
+its polynomial passes is a computed class written: `pi_k.perms`
+(k >= 1), Pi_k grown again by `generator_set` as an export that is never
+read back, then `S_k.hist` last, so a stored histogram means both files
+are whole.  Every step acts on whole `engine` levels (int8 arrays, one
+row per permutation), so Pi_k is limited to `engine.MAX_LENGTH` (13)
+entries, and a longer Pi_k is refused before the first growth step.
+`engine`, with numpy, is loaded when Pi_k or its downset is first
+computed, and `perm` on the first sorting-sequence translation, so a
+query answered from the store loads neither.  The ceiling on k lives
+here too.
 """
 from __future__ import annotations
 
@@ -116,6 +118,32 @@ class Family(enum.Enum):
 
 
 DEFAULT_K_CEILING = {Family.PANCAKE: 10, Family.REVERSAL: 5}
+
+# The BFS layer sizes of B_1..B_7 from the identity: BFS_LAYERS[family][n - 1][d]
+# signed permutations of length n lie at distance exactly d.  They are
+# `oracle.bfs_histogram`'s, pinned against it by a test, and kept here as
+# literals so that the gate checks every polynomial against them with no
+# search and no numpy.
+BFS_LAYERS = {
+    Family.PANCAKE: (
+        (1, 1),
+        (1, 2, 2, 2, 1),
+        (1, 3, 6, 12, 18, 6, 2),
+        (1, 4, 12, 36, 90, 124, 96, 18, 3),
+        (1, 5, 20, 80, 280, 680, 1214, 1127, 389, 40, 4),
+        (1, 6, 30, 150, 675, 2340, 6604, 12795, 15519, 6957, 959, 43, 1),
+        (1, 7, 42, 252, 1386, 6230, 24024, 71568, 159326, 222995, 136301, 21951, 1021, 15, 1),
+    ),
+    Family.REVERSAL: (
+        (1, 1),
+        (1, 3, 3, 1),
+        (1, 6, 16, 25),
+        (1, 10, 50, 170, 145, 8),
+        (1, 15, 120, 700, 1554, 1447, 3),
+        (1, 21, 245, 2170, 8820, 19495, 15148, 180),
+        (1, 28, 448, 5586, 35612, 138229, 262688, 202464, 64),
+    ),
+}
 
 
 class ResourceLimitError(RuntimeError):
@@ -328,7 +356,8 @@ def distance_class(
     reversal 5) before any work starts; pass `k_ceiling` to raise or lower
     the guard.  The histogram is read from the store, else computed from
     the downset of Pi_k, and either passes the same gate: `check_polynomial`,
-    then the empty permutation with P(0) = 1 (see the module docstring).
+    then the empty permutation with P(0) = 1 (see the module docstring),
+    then `check_counts`.
     A stored histogram that fails raises ValueError naming the file.  Only
     a computed class that passes is written to the store: Pi_k, grown
     again, as `pi_k.perms` (k >= 1), an export the program never reads
@@ -343,6 +372,7 @@ def distance_class(
         check_polynomial(family, k, p)
         if not (hist.has_epsilon and p(0) == 1):
             raise ValueError(f"{family.value} k={k}: epsilon={int(hist.has_epsilon)} and P(0) = {p(0)}, not 1 and 1")
+        check_counts(family, k, p)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}; clear the store") if stored else exc
     if path is not None and not stored:
@@ -384,6 +414,22 @@ def check_polynomial(family: Family, k: int, p: poly.Polynomial) -> None:
     degree = _generator_length(family, k) - 1
     if p.degree != degree:
         raise ValueError(f"{family.value} k={k}: P has degree {p.degree}, not {degree}")
+
+
+def check_counts(family: Family, k: int, p: poly.Polynomial) -> None:
+    """
+    Raise ValueError, naming k and the first n that disagrees, unless p(n)
+    is the number of signed permutations of length n at distance at most k
+    from the identity for every n = 1..7, as `BFS_LAYERS` gives them.
+    Compact members of length 8 and up add nothing to p(1..7), so levels
+    that long go unchecked here.  The `--exact` difference P_k - P_{k-1}
+    needs no check of its own: both terms passed this one, so it equals
+    layer k of B_1..B_7.
+    """
+    for n, layers in enumerate(BFS_LAYERS[family], 1):
+        want = sum(layers[: k + 1])
+        if p(n) != want:
+            raise ValueError(f"{family.value} k={k}: P({n}) = {p(n)}, but B_{n} has {want} at distance at most {k}")
 
 
 # ---------------------------------------------------------------------------

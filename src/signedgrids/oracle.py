@@ -11,6 +11,14 @@ vector (pancake move j reverses and negates columns [0, j), reversal move
 array of its `engine.keys`; `engine`, with numpy, is loaded only when a
 search starts.  Only `verify` loads this module: a query answered from
 the store never does.
+
+One layer loop serves both searches.  `ball(n, k)` stops after layer k,
+the radius-k ball around the identity, and `bfs_histogram` runs it until
+B_n runs out.  `verify` compares counts only up to k_max, so it searches
+each B_n to depth k_max and never builds the layers past it.  Wherever a
+search runs out of states it asserts that it covered all 2^n n! of B_n;
+every search also asserts that layer 1 holds one state per move, counted
+from n, which a search cut short can check for free.
 """
 from __future__ import annotations
 
@@ -78,12 +86,18 @@ def _members(keys: np.ndarray, layer: np.ndarray) -> np.ndarray:
     return layer[at] == keys
 
 
-def bfs_histogram(n: int, family: Family, n_ceiling: int | None = None) -> DistanceHistogram:
+def ball(n: int, k: int, family: Family, n_ceiling: int | None = None) -> tuple[int, ...]:
     """
-    Exact layer sizes of B_n from the identity under the family's
-    generators.  Refuses n above the ceiling (default 7, i.e. 645120
-    states); raise it explicitly to go to n = 8 and beyond.
+    Layer sizes of B_n from the identity for distances 0..k, fewer when
+    B_n runs out first; layer k + 1 and beyond are never built.  Refuses
+    n above the ceiling (default 7, i.e. 645120 states); raise it
+    explicitly to go to n = 8 and beyond.  Raises AssertionError when
+    layer 1 does not hold one state per move (n for pancakes, n(n+1)/2
+    for reversals), and, where the search runs out of states, when it
+    has not covered all 2^n n! of B_n.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     check_n(n, n_ceiling)
     import numpy as np
 
@@ -99,7 +113,7 @@ def bfs_histogram(n: int, family: Family, n_ceiling: int | None = None) -> Dista
     total = 2**n * factorial(n)
     # A search that counts more states than B_n holds is broken: stop it
     # rather than let it run on.
-    while sum(counts) <= total:
+    while len(counts) <= k and sum(counts) <= total:
         rows = engine.from_keys(layer, n)
         # Every move's images, one part per move: `unique_keys` merges a
         # batch of them into its result once the batch outgrows it, which
@@ -111,11 +125,32 @@ def bfs_histogram(n: int, family: Family, n_ceiling: int | None = None) -> Dista
             break
         counts.append(len(found))
         previous, layer = layer, found
-    if sum(counts) != total:
+    # Stopped short of depth k, the search ran out of states: it must have
+    # covered all of B_n.
+    if sum(counts) > total or (len(counts) <= k and sum(counts) != total):
         raise AssertionError(
             f"BFS covered {sum(counts)} of {total} states; generator application is broken"
         )
-    return DistanceHistogram(n, family, tuple(counts))
+    # Counted from n, not from the move list, so a dropped move shows.
+    moves_needed = n if family is Family.PANCAKE else n * (n + 1) // 2
+    if len(counts) > 1 and counts[1] != moves_needed:
+        raise AssertionError(
+            f"BFS layer 1 of B_{n} holds {counts[1]} states, not {moves_needed}; generator application is broken"
+        )
+    return tuple(counts)
+
+
+def bfs_histogram(n: int, family: Family, n_ceiling: int | None = None) -> DistanceHistogram:
+    """
+    Exact layer sizes of B_n from the identity under the family's
+    generators: `ball` run until B_n runs out, so the search always
+    checks that it covered all of B_n.  Refuses n above the ceiling
+    (default 7, i.e. 645120 states); raise it explicitly to go to n = 8
+    and beyond.
+    """
+    check_n(n, n_ceiling)
+    # no layer lies deeper than B_n has states
+    return DistanceHistogram(n, family, ball(n, 2**n * factorial(n), family, n_ceiling))
 
 
 def count_within(
@@ -125,9 +160,7 @@ def count_within(
     n_ceiling: int | None = None,
 ) -> int:
     """Number of length-n permutations at distance at most k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return bfs_histogram(n, family, n_ceiling).within(k)
+    return sum(ball(n, k, family, n_ceiling))
 
 
 class VerifyRow(NamedTuple):
@@ -197,18 +230,19 @@ def verify(
 ) -> VerifyReport:
     """
     Compare the enumerating polynomials against BFS counts for every
-    1 <= n <= n_max and 0 <= k <= k_max.  Both ceilings are checked before
-    anything is computed.  Mismatches are report content, not errors.
+    1 <= n <= n_max and 0 <= k <= k_max, each n's search cut off at
+    depth k_max (`ball`).  Both ceilings are checked before anything is
+    computed.  Mismatches are report content, not errors.
     """
     check_k(family, k_max, k_ceiling)
     check_n(n_max, n_ceiling)
     polys = [distance_polynomial(family, k, k_ceiling, cache_dir) for k in range(k_max + 1)]
     rows = []
     for n in range(1, n_max + 1):
-        hist = bfs_histogram(n, family, n_ceiling)
+        layers = ball(n, k_max, family, n_ceiling)
         for k in range(k_max + 1):
             value = polys[k](n)
             if value.denominator != 1:
                 raise AssertionError(f"polynomial value at n={n} is not an integer: {value}")
-            rows.append(VerifyRow(n, k, int(value), hist.within(k)))
+            rows.append(VerifyRow(n, k, int(value), sum(layers[: k + 1])))
     return VerifyReport(family, tuple(rows))

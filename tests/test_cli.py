@@ -247,20 +247,45 @@ class TestCache:
         assert (code, out) == (2, "")
         assert f"S_{k}.hist: pancake k={k}: epsilon=" in err and "P(0)" in err and "clear the store" in err
 
+    def test_compensating_edit_rejected_by_the_bfs_counts(self, capsys, tmp_path):
+        # +1 on two adjacent lengths keeps P(0) = 1, the degree and every
+        # value an integer in range: P_2 becomes [1, -1/6, 5/6, 1/6, 1/6],
+        # with P_2(2) = 8 where B_2 holds 7 within distance 2
+        run(capsys, "--cache-dir", str(tmp_path), "reversal", "--k", "2")
+        target = tmp_path / "reversal" / "S_2.hist"
+        lines = target.read_text().splitlines()
+        edits = {"2 5": "2 6", "3 11": "3 12"}
+        assert sum(line in edits for line in lines) == len(edits)
+        target.write_text("".join(edits.get(line, line) + "\n" for line in lines))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "reversal", "--k", "2")
+        assert (code, out) == (2, "")
+        assert "S_2.hist: reversal k=2: P(2) = 8, but B_2 has 7 at distance at most 2; clear the store" in err
+
     @pytest.mark.parametrize(
         "family,k,edits,check",
         [
             ("pancake", 3, {"2 3": "2 6"}, "S_2.hist: pancake k=2: epsilon=1 and P(0) = -2"),
-            ("reversal", 2, {"2 2": "2 6", "3 1": "3 5"}, "reversal k=2: P(2) = -1 is outside 0..2^n n! = 8"),
+            ("reversal", 2, {"2 2": "2 6", "3 1": "3 5"}, "S_1.hist: reversal k=1: P(2) = 8, but B_2 has 4 at"),
+            (
+                "reversal",
+                5,
+                {"8 1875": "8 1001875", "9 444": "9 1000444"},
+                "error: reversal k=5: P(8) = -315475 is outside 0..2^n n! = 10321920",
+            ),
         ],
-        ids=["pancake-3-2 3-2 6", "reversal-2-2 2-2 6"],
+        ids=["pancake-3-2 3-2 6", "reversal-2-2 2-2 6", "reversal-5-8 1875-8 1001875"],
     )
     def test_exact_rejects_a_shorter_class_larger_than_its_successor(self, capsys, tmp_path, family, k, edits, check):
-        # The edited reversal S_1.hist passes every check on P_1 alone, P(0)
-        # = 1 included; only P_2 - P_1 shows it, negative at n = 2.  No edit
-        # of two pancake count lines by up to 6 each passes the gate on
-        # P_{k-1} and fails only the difference at k = 3, 4 or 5, so the
-        # pancake case is refused on S_2.hist itself.
+        # 10^6 more at lengths 8 and 9 of reversal S_4.hist adds
+        # 10^6 C(n, 8) to P_4: P(0) = 1, the degree and P(1..7), and so
+        # the BFS counts of B_1..B_7, stay as they were, and P_4 passes its
+        # gate, but P_4(8) now exceeds P_5(8) by 315475 and only the
+        # difference shows it.  The edited reversal S_1.hist passes every
+        # invariant of P_1 alone and P_2 - P_1 is negative at n = 2, but the
+        # BFS counts refuse S_1.hist itself.  No edit of two pancake count
+        # lines by up to 6 each passes the gate on P_{k-1} and fails only
+        # the difference at k = 3, 4 or 5, so the pancake case is refused on
+        # S_2.hist itself.
         for j in range(1, k + 1):
             run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(j))
         target = tmp_path / family / f"S_{k - 1}.hist"

@@ -1,5 +1,6 @@
 """Generator-set recursions, distance polynomials, sorting sequences."""
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from signedgrids.distance import (
     Family,
     ResourceLimitError,
     apply_move,
+    check_counts,
     check_polynomial,
     distance_class,
     distance_polynomial,
@@ -22,7 +24,7 @@ from signedgrids.distance import (
     sorting_sequence,
 )
 from signedgrids.perm import format_perm, identity, inflate, is_compact, parse_canonical
-from signedgrids.poly import Polynomial, format_coeff_array
+from signedgrids.poly import Polynomial, format_coeff_array, from_histogram
 
 import oracles
 import tables
@@ -258,6 +260,41 @@ class TestLevelIdentity:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCountsGate:
+    # The growth mutants above under the BFS counts of B_1..B_7 alone,
+    # their histograms counted with no identity check.  The long-rows-only
+    # pancake mutant is left out: it damages only levels of length 9 and
+    # up, which add nothing to P(1..7).
+    @pytest.mark.parametrize(
+        "target,mutant,family,k",
+        [
+            ("_split_moves", _pancake_without_the_full_flip(1), Family.PANCAKE, 3),
+            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 2),
+            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 4),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 2),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 3),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 4),
+            ("_downset_level", _one_less, Family.PANCAKE, 3),
+        ],
+        ids=[
+            "pancake-no-full-flip-3",
+            "reversal-no-empty-segment-2",
+            "reversal-no-empty-segment-4",
+            "reversal-m1-no-last-right-cut-2",
+            "reversal-m1-no-last-right-cut-3",
+            "reversal-m1-no-last-right-cut-4",
+            "pancake-one-less-3",
+        ],
+    )
+    def test_growth_mutant_fails_the_counts(self, monkeypatch, target, mutant, family, k):
+        monkeypatch.setattr(distance, target, mutant)
+        counts = {m: engine.compact_count(keys, m)[0] for m, keys in distance._downset(family, k)}
+        p = from_histogram({m: count for m, count in counts.items() if count})
+        found = rf"^{family.value} k={k}: P\(\d\) = -?\d+, but B_\d has \d+ at distance at most {k}$"
+        with pytest.raises(ValueError, match=found):
+            check_counts(family, k, p)
+
+
 @pytest.mark.parametrize(
     "family,k",
     [
@@ -326,6 +363,31 @@ class TestDistancePolynomial:
         p = Polynomial.from_coeffs(coeffs)
         with pytest.raises(ValueError, match=f"{family.value} k=2: .*{check}"):
             check_polynomial(family, 2, p)
+
+    @pytest.mark.parametrize("family,k_top", [(Family.PANCAKE, 10), (Family.REVERSAL, 5)])
+    def test_tables_match_the_bfs_counts(self, family, k_top):
+        table = {0: Polynomial.from_coeffs([1])}
+        table |= tables.PANCAKE_AT_MOST if family is Family.PANCAKE else tables.REVERSAL_AT_MOST
+        for k in range(k_top + 1):
+            check_counts(family, k, table[k])
+
+    @pytest.mark.parametrize(
+        "family,k,last,check",
+        [
+            (Family.REVERSAL, 2, 1, "P(1) = 3, but B_1 has 2 at distance at most 2"),
+            # 6! = 720 more at n = 7 alone: the gate reaches B_7
+            (Family.PANCAKE, 3, 7, "P(7) = 1022, but B_7 has 302 at distance at most 3"),
+        ],
+        ids=["reversal-at-most-2", "pancake-at-most-3"],
+    )
+    def test_counts_gate_rejects(self, family, k, last, check):
+        # p plus (n - 1)...(n - last + 1), which is 0 at n < last and
+        # (last - 1)! at n = last
+        table = tables.PANCAKE_AT_MOST if family is Family.PANCAKE else tables.REVERSAL_AT_MOST
+        one = Polynomial.from_coeffs([1])
+        change = math.prod((Polynomial.from_coeffs([-i, 1]) for i in range(1, last)), start=one)
+        with pytest.raises(ValueError, match=f"^{family.value} k={k}: {re.escape(check)}$"):
+            check_counts(family, k, table[k] + change)
 
     @pytest.mark.parametrize("family,k_top", [(Family.PANCAKE, 5), (Family.REVERSAL, 3)])
     def test_classes_grow_with_k(self, family, k_top):

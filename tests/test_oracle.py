@@ -1,14 +1,16 @@
 """BFS ground truth over B_n and the polynomial cross-check report."""
 import json
+from collections import Counter
 from math import factorial
 
 import pytest
 
-from signedgrids import distance
-from signedgrids.distance import Family, ResourceLimitError
+from signedgrids import distance, engine, oracle
+from signedgrids.distance import BFS_LAYERS, Family, ResourceLimitError
 from signedgrids.oracle import (
     VerifyReport,
     VerifyRow,
+    ball,
     bfs_histogram,
     count_within,
     verify,
@@ -85,6 +87,63 @@ class TestBfsHistogram:
             tally[oracles.iddfs_distance(p, oracles.reversal_neighbors)] += 1
         assert tuple(tally) == hist.counts
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_gate_literals_are_the_full_search(self, n, family):
+        # the gate reads these without a search; the full search checks
+        # that it covered all of B_n, and two of its rows are also pinned
+        # to `PINNED_LAYERS` above
+        assert BFS_LAYERS[family][n - 1] == bfs_histogram(n, family).counts
+
+
+def _without_the_last_move(monkeypatch):
+    moves = oracle._moves
+    monkeypatch.setattr(oracle, "_moves", lambda n, family: moves(n, family)[:-1])
+
+
+class TestBall:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ball_is_the_full_search_cut_at_k(self, n, family):
+        counts = bfs_histogram(n, family).counts
+        for k in range(len(counts) + 1):  # 0 to the diameter + 1
+            assert ball(n, k, family) == counts[: k + 1], k
+
+    def test_ball_checks_k_and_n(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ball(3, -1, Family.PANCAKE)
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            ball(8, 1, Family.REVERSAL)
+        assert ball(8, 1, Family.REVERSAL, n_ceiling=8) == (1, 36)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_pancake_without_the_full_flip(self, monkeypatch, n):
+        # the last move is the flip of all n: without it the last entry
+        # never moves, so the searches that run out of states cover B_{n-1}
+        diameter = len(BFS_LAYERS[Family.PANCAKE][n - 1]) - 1
+        _without_the_last_move(monkeypatch)
+        covered = rf"BFS covered {2 ** (n - 1) * factorial(n - 1)} of {2**n * factorial(n)} states"
+        with pytest.raises(AssertionError, match=covered):
+            bfs_histogram(n, Family.PANCAKE)
+        with pytest.raises(AssertionError, match=covered):
+            ball(n, diameter + 1, Family.PANCAKE)
+        with pytest.raises(AssertionError, match=f"layer 1 of B_{n} holds {n - 1} states, not {n}"):
+            ball(n, 2, Family.PANCAKE)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reversal_without_its_last_move(self, monkeypatch, n):
+        # the last move negates the last entry alone; the others still
+        # generate B_n, so every search covers it, and only layer 1 shows
+        # the loss, in the full search and in one cut short
+        diameter = len(BFS_LAYERS[Family.REVERSAL][n - 1]) - 1
+        _without_the_last_move(monkeypatch)
+        layer_1 = f"layer 1 of B_{n} holds {n * (n + 1) // 2 - 1} states, not {n * (n + 1) // 2}"
+        for k in (2, diameter + 1):
+            with pytest.raises(AssertionError, match=layer_1):
+                ball(n, k, Family.REVERSAL)
+        with pytest.raises(AssertionError, match=layer_1):
+            bfs_histogram(n, Family.REVERSAL)
+
 
 class TestCountWithin:
     def test_reversal_one_move(self):
@@ -129,6 +188,23 @@ class TestVerify:
         monkeypatch.setattr(distance, "_downset_level", no_growth)
         with pytest.raises(ResourceLimitError, match="ceiling"):
             verify(family, k_max=k_max, n_max=n_max)
+
+    def test_searches_stop_at_k_max(self, monkeypatch):
+        # one union of every move's images per layer built: at k_max = 3 no
+        # search builds layer 4, and B_1, whose diameter is 1, tries layer 2
+        # and finds it empty
+        polys = [distance.distance_polynomial(Family.PANCAKE, k) for k in range(4)]
+        monkeypatch.setattr(oracle, "distance_polynomial", lambda family, k, *_: polys[k])
+        unions, unique_keys = Counter(), engine.unique_keys
+
+        def counted(parts):
+            parts = list(parts)
+            unions[parts[0].shape[1]] += 1
+            return unique_keys(parts)
+
+        monkeypatch.setattr(engine, "unique_keys", counted)
+        assert verify(Family.PANCAKE, k_max=3, n_max=7).all_match
+        assert unions == {1: 2, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3, 7: 3}
 
     def test_mismatch_reported_not_raised(self):
         good = VerifyRow(2, 1, 3, 3)
