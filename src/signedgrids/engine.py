@@ -8,7 +8,8 @@ length m.  The operators act on all rows at once with int8 arithmetic:
 
     rows(perms, m)        tuples of length m -> a level
     levels(perms)         tuples of any lengths -> {length: level}
-    to_tuples(level)      a level -> tuples that share one int object per value
+    to_tuples(level)      a level -> tuples that share one int object per
+                          value, built with the cyclic collector paused
     delete_column(l, i)   `perm.delete` of entry i (0-based) from every row
     split_column(l, i)    `perm.inflate` of entry i into a monotone pair
     compact_mask(l)       `perm.is_compact` of every row
@@ -32,16 +33,28 @@ them, for the BFS oracle, which keeps its layers as sorted keys, and for
 `distance`, which counts the compact rows of every downset level of the
 last class from their keys:
 
-    keys(level)               the key of every row
+    keys(level)               the key of every row of a level, or of a
+                              stack of levels, as one flat array
     from_keys(keys, m)        keys -> a level of length m
-    unique_keys(parts)        the sorted distinct keys of same-length levels,
-                              at least one of them
+    unique_keys(parts)        the sorted distinct keys of the rows of
+                              same-length levels or stacks of them, at
+                              least one part
     compact_count(keys, m)    the compact rows among keys, and those of them
                               that end in +m, a block at a time
 
 Levels are column-major where they are made in bulk: `from_keys` and
 `split_column` write them a column at a time, and `keys` reads them a
-column at a time.
+column at a time.  A stack is a (segments, rows, m) array, as the downset
+walk's gathers come: `keys` takes each column of all its levels in one
+pass, so a gather costs one call however many segments it holds.
+
+`to_tuples` makes one tuple per row, hundreds of thousands for a large
+Pi_k.  They hold only ints and so form no cycle, and the cyclic collector
+is paused while they are built: left on, it would pass over the young
+tuples every few hundred allocations and over the whole heap now and
+then.  The collection that falls due meanwhile runs once, at the first
+allocation the collector tracks after it is switched back on, in the
+caller, and finds every new tuple free of cycles.
 
 numpy is imported at the top of this module alone; `distance`,
 `gridclass`, `oracle` and `cache` import this module only inside the
@@ -51,11 +64,13 @@ not this module, numpy, `perm` or `oracle`.
 """
 from __future__ import annotations
 
-from typing import Iterable
+import gc
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .perm import SignedPerm
+if TYPE_CHECKING:  # a tuple of ints; `perm` is loaded where one is parsed or printed
+    from .perm import SignedPerm
 
 # Levels come from `rows` or `split_column`, which both check this limit;
 # `distance` checks it before a class's first growth step.
@@ -103,11 +118,24 @@ def levels(perms: Iterable[SignedPerm]) -> dict[int, np.ndarray]:
 
 
 def to_tuples(level: np.ndarray) -> list[SignedPerm]:
-    """The rows of a level as tuples whose entries are shared int objects."""
+    """
+    The rows of a level as tuples whose entries are shared int objects,
+    built a block of rows at a time by a `zip` over one list of shared ints
+    per column, with the cyclic collector paused (see the module
+    docstring); its earlier state is restored however the build ends.
+    """
+    if not level.shape[1]:
+        return [()] * len(level)
     out: list[SignedPerm] = []
-    for start in range(0, len(level), _TUPLE_BLOCK_ROWS):
-        block = level[start : start + _TUPLE_BLOCK_ROWS].astype(np.intp) + MAX_LENGTH
-        out.extend(map(tuple, _SHARED_INTS[block].tolist()))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, len(level), _TUPLE_BLOCK_ROWS):
+            block = level[start : start + _TUPLE_BLOCK_ROWS].astype(np.intp) + MAX_LENGTH
+            out.extend(zip(*(_SHARED_INTS[column].tolist() for column in block.T)))
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 
@@ -146,16 +174,17 @@ def compact_mask(level: np.ndarray) -> np.ndarray:
 
 
 def keys(level: np.ndarray) -> np.ndarray:
-    """The key of every row: 5 bits per entry, x + 16, and the last entry's
+    """The key of every row of a level, or of a stack of same-length
+    levels with the entries along its last axis, as one flat array, a
+    stack level by level: 5 bits per entry, x + 16, and the last entry's
     sign bit."""
-    n, m = level.shape
-    out = np.zeros(n, dtype=np.int64)
-    for j in range(m - 1):
+    out = np.zeros(level.shape[:-1], dtype=np.int64)
+    for j in range(level.shape[-1] - 1):
         out <<= _BITS
-        out |= level[:, j] + _OFFSET
+        out |= level[..., j] + _OFFSET
     out <<= 1
-    out |= level[:, m - 1] > 0
-    return out
+    out |= level[..., -1] > 0
+    return out.reshape(-1)
 
 
 def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
@@ -192,7 +221,8 @@ def compact_count(keys: np.ndarray, m: int) -> tuple[int, int]:
 def unique_keys(parts: Iterable[np.ndarray]) -> np.ndarray:
     """
     The sorted distinct keys of the rows of levels of one length, at least
-    one level.  The parts' keys are gathered in a batch, and a batch is
+    one part, where a part is a level or a stack of levels (see `keys`).
+    The parts' keys are gathered in a batch, and a batch is
     sorted, deduplicated and merged into the result once it outgrows it,
     so the temporaries stay within a few times the size of the result
     however many rows the parts hold.  No part is held once its keys are
@@ -206,8 +236,8 @@ def unique_keys(parts: Iterable[np.ndarray]) -> np.ndarray:
     for part in parts:
         count += 1  # not `enumerate`, whose result tuple holds the last part
         runs.append(keys(part))
-        batched += len(part)
         del part
+        batched += len(runs[-1])
         if batched > len(runs[0]):
             _merge(runs)
             batched = 0

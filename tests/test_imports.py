@@ -128,6 +128,18 @@ def test_numpy_stays_off_the_warm_path(tmp_path):
         assert _loaded_modules("--cache-dir", store, *argv) & OFF_THE_WARM_PATH == set(), argv
 
 
+def test_perm_stays_off_cold_runs(tmp_path):
+    # `engine` needs `perm` for an annotation alone, so growth, the closure
+    # and the BFS load it nowhere; it is loaded where a permutation is
+    # parsed or printed
+    store = str(tmp_path)
+    cold = _loaded_modules("--cache-dir", store, "pancake", "--k", "3")
+    verify = _loaded_modules("--cache-dir", store, "verify", "--family", "pancake", "--k-max", "3", "--n-max", "4")
+    for loaded in (cold, verify):
+        assert "signedgrids.engine" in loaded
+        assert "signedgrids.perm" not in loaded
+
+
 def test_every_export_resolves():
     import signedgrids
     from signedgrids import cache, distance, gridclass, oracle, poly  # the form perfbench/traced.py uses

@@ -1,4 +1,5 @@
 """Pointwise operators on signed permutations."""
+import gc
 import itertools
 import weakref
 
@@ -386,6 +387,73 @@ class TestArrayEngine:
         assert engine.to_tuples(engine.from_keys(union, 4)) == expected
         all_keys = engine.keys(np.concatenate(parts)).tolist()
         assert union.tolist() == sorted(set(all_keys))
+
+    def _stack(self):
+        """Three copies of all of B_4 as a (3, 384, 4) stack laid out as a
+        gather lies: the level itself, reversed and negated whole, and with
+        entries 2..3 reversed and negated."""
+        level = engine.rows(self.LEVEL, 4)
+        order = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [0, 2, 1, 3]])
+        sign = np.array([[1, 1, 1, 1], [-1, -1, -1, -1], [1, -1, -1, 1]], dtype=np.int8)
+        return (level[:, order] * sign).transpose(1, 0, 2)
+
+    def test_keys_of_a_stack_are_those_of_its_slabs(self):
+        stack = self._stack()
+        assert not stack.flags.c_contiguous
+        flat = engine.keys(stack)
+        assert flat.shape == (3 * len(self.LEVEL),)
+        assert np.array_equal(flat, np.concatenate([engine.keys(slab) for slab in stack]))
+
+    def test_union_of_a_stacked_part_is_that_of_its_slabs(self):
+        stack = self._stack()
+        union = engine.unique_keys([stack])
+        assert np.array_equal(union, engine.unique_keys(list(stack)))
+        assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
+
+    def test_zero_width_rows_are_empty_tuples(self):
+        assert engine.to_tuples(np.empty((3, 0), dtype=np.int8)) == [(), (), ()]
+        assert engine.to_tuples(engine.delete_column(engine.rows([(1,)], 1), 0)) == [()]
+
+    def test_to_tuples_runs_no_collection(self):
+        # 23,040 new tuples, far past the young generation's threshold:
+        # an enabled collector would pass over them dozens of times
+        big = np.tile(engine.rows(self.LEVEL, 4), (60, 1))
+        building, starts = [False], []
+
+        def record(phase, info):
+            if building[0] and phase == "start":
+                starts.append(info["generation"])
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            gc.collect()  # so the few allocations before the pause trigger none
+            building[0] = True
+            tuples = engine.to_tuples(big)
+            building[0] = False
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if enabled else gc.disable)()
+        assert tuples == self.LEVEL * 60
+        assert starts == []
+
+    def test_to_tuples_restores_the_collector(self):
+        # the collector is paused while tuples are built, and left as it
+        # was found, also when the build raises
+        level = engine.rows(self.LEVEL, 4)
+        bad = np.full((2, 4), 100, dtype=np.int8)  # past every shared int
+        enabled = gc.isenabled()
+        try:
+            for state in (True, False):
+                (gc.enable if state else gc.disable)()
+                assert engine.to_tuples(level) == self.LEVEL
+                assert gc.isenabled() is state
+                with pytest.raises(IndexError):
+                    engine.to_tuples(bad)
+                assert gc.isenabled() is state
+        finally:
+            (gc.enable if enabled else gc.disable)()
 
     def test_union_of_no_parts_rejected(self):
         for parts in ([], iter(())):
