@@ -3,17 +3,19 @@ On-disk cache for the distance-class pipeline.
 
 Layout under the cache directory:
 
-    {family}/pi_{k}.perms   generator set Pi_k, PermSet text format; an
-                            export, never read back by the pipeline
-    {family}/S_{k}.hist     length histogram of the compact representatives
+    {family}/pi_{k}.perms   generator set Pi_k, PermSet text format, its
+                            members sorted as tuples; an export, never
+                            read back by the pipeline
+    {family}/S_{k}.hist     length histogram of the compact representatives,
+                            lengths ascending
 
-Every cache file starts with a header line carrying the format version.
-Files are written to a temporary name in the same directory and renamed
-into place, so a reader sees the old file or the new one, never a part.
-A file with an unexpected header, or with any line the writer would not
-have written, is rejected, naming the file and the line, rather than
-silently misread.  Warm-cache runs must produce byte-identical command
-output, so everything written here is sorted.
+Every cache file is ASCII text and starts with a header line carrying the
+format version.  Files are written to a temporary name in the same
+directory and renamed into place, so a reader sees the old file or the
+new one, never a part.  A file that is not ASCII is rejected naming the
+file and the byte; one with an unexpected header, or with any line the
+writer would not have written, naming the file and the line, rather than
+silently misread.  The same class always writes the same bytes.
 """
 from __future__ import annotations
 
@@ -49,7 +51,10 @@ def hist_path(cache_dir: Path, family: Family, k: int) -> Path:
 
 
 def _read_lines(path: Path, header: str) -> list[str]:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not ASCII") from None
     if not lines or lines[0] != header:
         raise ValueError(f"{path}: missing or unexpected header (expected {header!r})")
     return lines[1:]
@@ -68,52 +73,39 @@ def _write(path: Path, chunks: Iterable[bytes]) -> None:
 
 
 def write_levels(path: Path, levels: Iterable[np.ndarray]) -> None:
-    """Write `engine` levels, one per length and each of distinct rows, in
-    the PermSet text format, sorted by (entry count, text) as
-    `gridclass.permset_to_lines` sorts."""
+    """Write `engine` levels, one per length and each of sorted, distinct
+    rows, in the PermSet text format: shorter levels first, each in its
+    own row order."""
     blocks = map(_level_text, sorted(levels, key=lambda level: level.shape[1]))
     _write(path, itertools.chain([(PERMS_HEADER + "\n").encode()], *blocks))
 
 
 def _level_text(level: np.ndarray) -> Iterator[bytes]:
-    """The lines of one level in text order, as bytes, a block of rows at
-    a time.
-
-    Rows of one length sort as text exactly as the sequences of their
-    entries' ranks among the entry texts sort: where one entry's text is a
-    prefix of another's, a space or the line end follows it, and both sort
-    before every digit.  So the rows' rank sequences are sorted
-    (`np.lexsort`) and written through a table from (last column, rank) to
-    the entry's text and the space or line end after it, padded with zero
-    bytes to one width; the padding is then dropped."""
+    """The lines of one level in row order, as bytes, a block of rows at a
+    time: each entry x is written through a table from (last column, x) to
+    its text and the space or line end after it, padded with zero bytes to
+    one width; the padding is then dropped."""
     import numpy as np
 
     n, m = level.shape
     if m == 0:
         yield b"\n" * n
         return
-    texts = sorted((str(x) for x in range(-m, m + 1) if x))
-    rank = np.zeros(2 * m + 1, dtype=np.int8)
-    for r, text in enumerate(texts):
-        rank[int(text) + m] = r
-    ranked = rank[level + m]
-    # lexsort's last key is the most significant
-    ranked = ranked[np.lexsort(ranked.T[::-1])]
-    # rank r in the last column is looked up as r + 2m
-    ranked[:, -1] += len(texts)
-    tokens = [(t + " ").encode() for t in texts] + [(t + "\n").encode() for t in texts]
-    table = np.zeros((len(tokens), max(map(len, tokens))), dtype=np.uint8)
-    for i, token in enumerate(tokens):
-        table[i, : len(token)] = list(token)
+    tokens = [f"{x}{end}".encode() for end in " \n" for x in range(-m, m + 1)]
+    width = max(map(len, tokens))
+    table = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens), np.uint8).reshape(len(tokens), width)
+    # entry x is looked up as x + m, in the last column as x + 3m + 1
+    offset = np.array([m] * (m - 1) + [3 * m + 1], dtype=np.int8)
     for start in range(0, n, _BLOCK_ROWS):
-        yield table.take(ranked[start : start + _BLOCK_ROWS], axis=0).tobytes().translate(None, b"\0")
+        yield table.take(level[start : start + _BLOCK_ROWS] + offset, axis=0).tobytes().translate(None, b"\0")
 
 
 def write_permset(path: Path, members: PermSet) -> None:
-    """Write tuples of length up to `engine.MAX_LENGTH` (13) through `write_levels`."""
+    """Write tuples of length up to `engine.MAX_LENGTH` (13) through
+    `write_levels`, sorted."""
     from . import engine
 
-    write_levels(path, engine.levels(members).values())
+    write_levels(path, engine.levels(sorted(members)).values())
 
 
 def read_permset(path: Path) -> PermSet:

@@ -135,9 +135,10 @@ def grid_member(sigma: SignedPerm, members: PermSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PermSet text format: one canonical-encoded permutation per line, sorted by
-# (length, lexicographic order of the encoded line); the empty permutation
-# is an empty line and may appear only first.
+# PermSet text format: one canonical-encoded permutation per line; the empty
+# permutation is an empty line and may appear only first.  Readers accept
+# the other lines in any order.  `permset_to_lines` sorts them by (length,
+# encoded line), so `downset` output stays byte-identical.
 
 
 def permset_to_lines(members: Iterable[SignedPerm]) -> list[str]:

@@ -7,8 +7,8 @@ import pytest
 from signedgrids import cache, engine
 from signedgrids.cli import main
 from signedgrids.distance import Family, generator_set
-from signedgrids.gridclass import LengthHistogram, permset_to_lines
-from signedgrids.perm import all_perms
+from signedgrids.gridclass import LengthHistogram
+from signedgrids.perm import all_perms, format_perm
 
 
 class TestPermsetFiles:
@@ -28,6 +28,12 @@ class TestPermsetFiles:
         path = tmp_path / "bad.perms"
         path.write_text("1 2\n")
         with pytest.raises(ValueError, match="header"):
+            cache.read_permset(path)
+
+    def test_bytes_that_are_not_text_rejected(self, tmp_path):
+        path = tmp_path / "bad.perms"
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(ValueError, match=r"bad\.perms: byte 0 is not ASCII"):
             cache.read_permset(path)
 
 
@@ -94,18 +100,18 @@ COLD_DIGESTS = {
     "pancake/S_5.hist": "20d45dde6f75bd2abb663b9c7f1b09934fdba6dc845c9daf5048734fc95546a1",
     "pancake/pi_1.perms": "8f249876827b7d8bec8985d3cfa06b444fad3afe42b479a238cdee1ab25d58e4",
     "pancake/pi_2.perms": "8cdd368e5f7689370c2b904ae810794b1ebd1e5dbebfa137d19f3ec7ae1a1c8a",
-    "pancake/pi_3.perms": "ae88076acc42d4c767242d40ba843c594bbd43e0c9483b8a3c8cf34a570e8dde",
-    "pancake/pi_4.perms": "b6ff55693118933bfd6f125227a90593f56d540f043659988f667dbbd44bd17f",
-    "pancake/pi_5.perms": "de6ea2c9c9ddb4141b7097023c5f619e7930bbe55d372ffc9bb5c42604fd7414",
+    "pancake/pi_3.perms": "3fe1a3478a895e5edc3ae6097029043defdaee0713f0f0f29c28e8eda5aaa6d0",
+    "pancake/pi_4.perms": "9e9f78f223ca8c0f728c39f2c76ee50a0525b2f096404bf2aea2729435c49942",
+    "pancake/pi_5.perms": "05a227e6e8c8147c0ec089b4ab9de1b4261114ce508df29fa714830145ec2c33",
     "reversal/S_0.hist": "ac3fbb535d571726c54a39398ca8b125b112ce45031efd40cffbe81bed584474",
     "reversal/S_1.hist": "22737ad9fa4ae1e6ec7a6532a864945a01c6b06f7349de49d0333a3034ddef1b",
     "reversal/S_2.hist": "3eeb7c40f608a2b2baf823bfe957d809147efc1b58a3cf72a9925e0bbc481832",
     "reversal/S_3.hist": "17d3ccf58bff1ad2c2d8487c71508f67907866dc703ff13084c0969b0633effd",
     "reversal/S_4.hist": "3894be9f125afec2dcdce7a861dc8aec07441e001020ba447c0614b18e10e7b5",
     "reversal/pi_1.perms": "6ac6632700b0041c51ce7af5ba52a2dab508f19cc31b0c885c7d62f6dcb5f1ec",
-    "reversal/pi_2.perms": "f12a4028d83804a3c2411cf2645191ebc49bdf6dca9ee45b0dded5ccbde6504f",
-    "reversal/pi_3.perms": "af895b57efc5243f96be60a720fd1b39e00062d7cb3bf3d9961e42322c98ef8b",
-    "reversal/pi_4.perms": "ba4a4eb8500de5dc7e2346bd9377df59a61262a99301108db694d7fe3efaf896",
+    "reversal/pi_2.perms": "46321ae4a417eecbde422391a525ddb382bbda1bd997fa9a6b7bb8f6fe2ee59f",
+    "reversal/pi_3.perms": "a232dad3a52c2cb83429cec41bc8682c6385892ee4ac6d3bd68bce2a51b3cd60",
+    "reversal/pi_4.perms": "e5f07056abc252d8e1746e13092fe944c86d4234e396507275b465cc26e713a3",
 }
 
 
@@ -126,7 +132,7 @@ def test_cold_written_bytes_are_pinned(tmp_path, capsys):
     "writer,old,new",
     [
         (cache.write_histogram, LengthHistogram({1: 2}, True), LengthHistogram({1: 2, 2: 2}, True)),
-        (cache.write_levels, [engine.rows([(1, -2)], 2)], [engine.rows([(1, -2), (-2, 1)], 2)]),
+        (cache.write_levels, [engine.rows([(1, -2)], 2)], [engine.rows([(-2, 1), (1, -2)], 2)]),
     ],
     ids=["histogram", "packed"],
 )
@@ -154,7 +160,8 @@ class TestPackedFiles:
 
     def test_same_bytes_as_tuple_writer(self, tmp_path):
         # entries up to 12 put "1", "10", "11", "12" and "-1", "-10" side by
-        # side, where text order is not numeric order
+        # side, where text order is not numeric order; the file keeps
+        # numeric (tuple) order
         rng = random.Random(0)
         members = {(), (1,), *all_perms(3)}
         for m in (11, 12):
@@ -163,12 +170,12 @@ class TestPackedFiles:
                 members.add(tuple(v * rng.choice((1, -1)) for v in values))
         path = tmp_path / "t.perms"
         cache.write_permset(path, frozenset(members))
-        expected = [cache.PERMS_HEADER, *permset_to_lines(members)]
+        expected = [cache.PERMS_HEADER, *map(format_perm, sorted(members, key=lambda p: (len(p), p)))]
         assert path.read_text() == "".join(line + "\n" for line in expected)
 
     def test_longest_level_same_bytes_as_tuple_writer(self, tmp_path):
-        # a length-13 level uses every entry -13..13, where "-1", "-10",
-        # ..., "-13" and "1", "10", ..., "13" sort apart from numeric order
+        # a length-13 level uses every entry -13..13, so the table index
+        # peaks at 53, for 13 in the last column
         rng = random.Random(1)
         members = {tuple(range(1, 14)), tuple(range(-13, 0))}
         while len(members) < 500:
@@ -178,7 +185,7 @@ class TestPackedFiles:
         assert set(level.ravel().tolist()) == set(range(-13, 14)) - {0}
         path = tmp_path / "t.perms"
         cache.write_levels(path, [level])
-        expected = [cache.PERMS_HEADER, *permset_to_lines(members)]
+        expected = [cache.PERMS_HEADER, *map(format_perm, sorted(members, key=lambda p: (len(p), p)))]
         assert path.read_text().split("\n") == [*expected, ""]
 
     @pytest.mark.parametrize("body", ["1 3\n", "1 1\n", "0\n", "1 -1\n", "x\n", "1\n\n2 1\n", "+1\n", "01\n", "2  1\n"])
@@ -189,12 +196,13 @@ class TestPackedFiles:
             cache.read_permset(path)
 
 
-# sha256 of `write_levels` output for Pi_k grown without a store; the
-# digests come from the per-family growth loops that one shared step
-# (`distance._downset_level` on top levels) replaced.
+# sha256 of `write_levels` output for Pi_k grown without a store: the bytes
+# a cold `pancake --k 9` and `reversal --k 6 --k-ceiling 6` write as
+# `pi_k.perms`, whose lines, sorted as text, are those of the per-family
+# growth loops that one shared step (`distance._downset_level`) replaced.
 GROWN_DIGESTS = {
-    (Family.REVERSAL, 6): "fe93c168906cae208c4a7ffcd6e076bb4615a16c82d249d07a66842447869452",
-    (Family.PANCAKE, 9): "3388ed16666b69a83afa67be4486b265c17946a148a922253fcf8e57c7d52467",
+    (Family.REVERSAL, 6): "a45eb94f46138aec2afb0e518d0fb292fe8c45aaade114547ed57360d25bf97d",
+    (Family.PANCAKE, 9): "4e7a9d72ee62c5037d6b5b96e5d46dea1ff6ce1ac65f929b8ab56ad2db30e4d0",
 }
 
 

@@ -210,6 +210,14 @@ class TestCache:
         run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "5")
         assert sorted(f.name for f in (tmp_path / "pancake").iterdir()) == ["S_5.hist", "pi_5.perms"]
 
+    def test_histogram_that_is_not_text_rejected(self, capsys, tmp_path):
+        target = tmp_path / "pancake" / "S_3.hist"
+        target.parent.mkdir()
+        target.write_bytes(b"\xff\xfe\n")
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "3")
+        assert (code, out) == (2, "")
+        assert "S_3.hist" in err
+
     @pytest.mark.parametrize("family,k", [("pancake", 4), ("reversal", 3)])
     def test_histogram_missing_its_last_line_rejected(self, capsys, tmp_path, family, k):
         run(capsys, "--cache-dir", str(tmp_path), family, "--k", str(k))
