@@ -2,14 +2,17 @@
 """
 Recompute the distance-class polynomial tables and report measured sizes.
 
-Prints, for each family and k, the generator-set cardinality |Pi_k| (the
-top entry of the length histogram), the number of compact representatives
-|S_k|, the wall-clock time, the process's peak RSS so far, and the exact
-coefficient array, all from one `distance_class` call per class.  The
-burnt-pancake run covers k <= 8 by default; pass --stretch for k = 9 and
-10 (about 6 s and 0.33 GB of RAM in all, without a store, on a 2-core
-Xeon).  With --cache-dir the histograms are read from that store when
-present.  Every class, read or computed, passes one gate,
+Prints, for each family, the wall-clock time of its one
+`distance_classes` call for k = 0..k_max and the process's peak RSS so
+far, then for each k the generator-set cardinality |Pi_k| (the top entry
+of the length histogram), the number of compact representatives |S_k|
+and the exact coefficient array.  The classes missing from the store
+come from one walk per family, which builds D_k for every k on its way
+to the highest, so the time is that walk's, not a sum of one walk per
+class.  The burnt-pancake run covers k <= 8 by default; pass --stretch
+for k = 9 and 10 (about 5 s and 0.3 GB of RAM in all, without a store,
+on a 2-core Xeon).  With --cache-dir the histograms are read from that
+store when present.  Every class, read or computed, passes one gate,
 `check_polynomial`, then P(0) = 1, then `check_counts`, and a computed
 class is written to the store only after it passes: its generator set
 Pi_k, grown again, as `pi_k.perms`, a file that is never read back, and
@@ -26,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from signedgrids.distance import Family, distance_class  # noqa: E402
+from signedgrids.distance import Family, distance_classes  # noqa: E402
 from signedgrids.poly import format_coeff_array  # noqa: E402
 
 
@@ -36,15 +39,12 @@ def peak_rss_mb() -> float:
 
 
 def run_family(family: Family, k_max: int, cache_dir: Path | None) -> None:
-    print(f"== {family.value} distance classes, k = 0..{k_max}")
-    for k in range(k_max + 1):
-        t0 = time.perf_counter()
-        hist, polynomial = distance_class(family, k, cache_dir=cache_dir)
-        elapsed = time.perf_counter() - t0
-        print(
-            f"k={k:>2}  |Pi_k|={hist.counts[max(hist.counts)]:>8}  "
-            f"|S_k|={hist.total():>9}  total={elapsed:7.2f}s  peak RSS={peak_rss_mb():7.1f} MB"
-        )
+    t0 = time.perf_counter()
+    classes = distance_classes(family, range(k_max + 1), cache_dir=cache_dir)
+    elapsed = time.perf_counter() - t0
+    print(f"== {family.value} distance classes, k = 0..{k_max}: total={elapsed:7.2f}s  peak RSS={peak_rss_mb():7.1f} MB")
+    for k, (hist, polynomial) in enumerate(classes):
+        print(f"k={k:>2}  |Pi_k|={hist.counts[max(hist.counts)]:>8}  |S_k|={hist.total():>9}")
         print(f"      {format_coeff_array(polynomial)}")
 
 

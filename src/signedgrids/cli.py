@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import gridclass, poly
-from .distance import Family, ResourceLimitError, check_polynomial, distance_class, distance_polynomial
+from .distance import Family, ResourceLimitError, check_polynomial, distance_classes
 from .gridclass import LengthHistogram
 
 CACHE_DIR_ENV = "SIGNEDGRIDS_CACHE_DIR"
@@ -79,9 +79,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     family, k = args.family, args.k
     if args.exact and k == 0:
         raise ValueError("--exact needs k >= 1")
-    hist, p = distance_class(family, k, args.k_ceiling, args.cache_dir)
+    *below, (hist, p) = distance_classes(family, range(k - args.exact, k + 1), args.k_ceiling, args.cache_dir)
     if args.exact:
-        p = p - distance_polynomial(family, k - 1, args.k_ceiling, args.cache_dir)
+        p = p - below[0][1]
         check_polynomial(family, k, p)
     if args.verbose:
         print(f"# |Pi_{k}| = {hist.counts[max(hist.counts)]}")
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check polynomials against the BFS oracle")
     p_verify.add_argument("--family", choices=("pancake", "reversal"), required=True)
     p_verify.add_argument("--k-max", type=int, required=True)
-    p_verify.add_argument("--n-max", type=int, required=True)
+    p_verify.add_argument("--n-max", type=int, required=True, help="n <= 7 re-checks counts the gate already holds")
     p_verify.add_argument("--k-ceiling", type=int, default=None)
     p_verify.add_argument("--n-ceiling", type=int, default=None)
     p_verify.set_defaults(run=cmd_verify)

@@ -36,13 +36,15 @@ entries.  So
 where pancakes, whose left cut is pinned at 0, have no M_2, and the top
 level of D_k is Pi_k itself, the image of Pi_{k-1} under the M_c with the
 most split entries.  This one step, `_downset_level`, builds every level:
-`generator_set` applies it to top levels alone, and `_downset` builds
-D_1, ..., D_k in turn, each top-down from the one before, dropping each
-level of D_{j-1} once the level of D_j of its length is built.  A level
-leaves the merge as sorted distinct keys (`engine.unique_keys`).  Those
-of D_1..D_{k-1} are decoded whole for the next step; those of D_k, Pi_k
-first, are yielded one level at a time, and the histogram counts their
-compact rows from the keys a block of rows at a time
+`generator_set` applies it to top levels alone, and one walk,
+`_computed_histograms`, builds D_1, ..., D_k in turn, each top-down from
+the one before, dropping each level of D_{j-1} once the level of D_j of
+its length is built.  The classes are nested, so that walk yields the
+histogram of every class up to k.  A level leaves the merge as sorted
+distinct keys (`engine.unique_keys`).  Those of D_1..D_{k-1} are decoded
+whole for the next step, and their compact rows counted from the rows
+(`engine.count_compact_rows`); those of D_k, Pi_k first, are only
+counted, from the keys a block of rows at a time
 (`engine.compact_count`), so no level of D_k is ever decoded whole.
 
 Every distance class satisfies two facts that its histogram can show.
@@ -67,26 +69,31 @@ with no fixed point that matches the members of length m not ending in
 so every compact member of length L, Pi_k included, ends in +L.  Summed
 with alternating signs, sum_m (-1)^m c_m = 0, and the polynomial, whose
 value at n = 0 is sum_{m>=1} (-1)^(m-1) c_m, has P(0) = 1.  The walk
-(`_computed_histogram`) checks the per-level identity once it has
-counted every level, and `distance_class` checks P(0) = 1 and epsilon on
-every histogram, stored or computed, after `check_polynomial`.  Neither
-holds for an arbitrary grid class, which need not be closed under
-appending a maximum (Grid({21}) has P(n) = n, so P(0) = 0), so
-`gridclass` and `enumerate` check neither.
+(`_computed_histograms`) checks the per-level identity of each class
+once it has counted every level of it, and `distance_classes` checks
+P(0) = 1 and epsilon on every histogram, stored or computed, after
+`check_polynomial`.  Neither holds for an arbitrary grid class, which
+need not be closed under appending a maximum (Grid({21}) has P(n) = n,
+so P(0) = 0), so `gridclass` and `enumerate` check neither.
 
 This module holds the whole pipeline, Pi_k and its downset -> histogram ->
-polynomial -> store, in one entry point, `distance_class`, the only
-function that reads or writes the on-disk store (`cache`).  It reads a
-stored histogram, or computes one, and passes both through one gate,
-`check_polynomial`, then P(0) = 1, then the BFS counts of B_1..B_7
-(`check_counts`, which reads them from literals, not from a search); a
+polynomial -> store, in one entry point, `distance_classes`, the only
+function that reads or writes the on-disk store (`cache`).  A request
+names a range of classes; it reads the stored histograms and computes
+the rest in one walk to the highest k missing, and passes each through
+one gate, `check_polynomial`, then P(0) = 1, then the BFS counts
+(`check_counts`, which reads them from literals, not from a search).
+Within the default ceilings on k those counts and P(0) = 1 (with, for
+pancake k = 10, the leading coefficient) are deg + 1 conditions, so the
+gate fixes every class's polynomial, and with it the histogram.  A
 stored histogram that fails is refused naming the file, and only after
-its polynomial passes is a computed class written: `pi_k.perms`
-(k >= 1), Pi_k grown again by `generator_set` as an export that is never
-read back, then `S_k.hist` last, so a stored histogram means both files
-are whole.  Every step acts on whole `engine` levels (int8 arrays, one
-row per permutation), so Pi_k is limited to `engine.MAX_LENGTH` (13)
-entries, and a longer Pi_k is refused before the first growth step.
+its polynomial passes is a computed class in the range written:
+`pi_k.perms` (k >= 1), Pi_k grown again by `generator_set` as an export
+that is never read back, then `S_k.hist` last, so a stored histogram
+means both files are whole.  Every step acts on whole `engine` levels
+(int8 arrays, one row per permutation), so Pi_k is limited to
+`engine.MAX_LENGTH` (13) entries, and a longer Pi_k is refused before
+the first growth step.
 `engine`, with numpy, is loaded when Pi_k or its downset is first
 computed, and `perm` on the first sorting-sequence translation, so a
 query answered from the store loads neither.  The ceiling on k lives
@@ -119,11 +126,13 @@ class Family(enum.Enum):
 
 DEFAULT_K_CEILING = {Family.PANCAKE: 10, Family.REVERSAL: 5}
 
-# The BFS layer sizes of B_1..B_7 from the identity: BFS_LAYERS[family][n - 1][d]
-# signed permutations of length n lie at distance exactly d.  They are
-# `oracle.bfs_histogram`'s, pinned against it by a test, and kept here as
-# literals so that the gate checks every polynomial against them with no
-# search and no numpy.
+# The BFS layer sizes of B_n from the identity: BFS_LAYERS[family][n - 1][d]
+# signed permutations of length n lie at distance exactly d.  The rows of
+# B_1..B_7 are whole (`oracle.bfs_histogram`); those of pancake B_8, B_9 and
+# reversal B_8..B_10 stop at the default ceiling on k (`oracle.ball`, 17 s
+# and 1.4 GB for pancake B_9 on a 2-core Xeon).  Each is pinned against its
+# search by a test and kept here as literals, so that the gate checks every
+# polynomial against them with no search and no numpy.
 BFS_LAYERS = {
     Family.PANCAKE: (
         (1, 1),
@@ -133,6 +142,8 @@ BFS_LAYERS = {
         (1, 5, 20, 80, 280, 680, 1214, 1127, 389, 40, 4),
         (1, 6, 30, 150, 675, 2340, 6604, 12795, 15519, 6957, 959, 43, 1),
         (1, 7, 42, 252, 1386, 6230, 24024, 71568, 159326, 222995, 136301, 21951, 1021, 15, 1),
+        (1, 8, 56, 392, 2548, 14056, 68656, 276136, 901970, 2195663, 3531887),
+        (1, 9, 72, 576, 4320, 28224, 166740, 843822, 3636954, 12675375, 33773653),
     ),
     Family.REVERSAL: (
         (1, 1),
@@ -142,6 +153,9 @@ BFS_LAYERS = {
         (1, 15, 120, 700, 1554, 1447, 3),
         (1, 21, 245, 2170, 8820, 19495, 15148, 180),
         (1, 28, 448, 5586, 35612, 138229, 262688, 202464, 64),
+        (1, 36, 756, 12600, 115254, 684525),
+        (1, 45, 1200, 25740, 318600, 2670025),
+        (1, 55, 1815, 48675, 781968, 8760653),
     ),
 }
 
@@ -242,31 +256,6 @@ def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.n
     return engine.unique_keys(part for moved in parts for part in moved)
 
 
-def _downset(family: Family, k: int) -> Iterator[tuple[int, np.ndarray]]:
-    """
-    The levels of D_k, the downset of Pi_k: (m, the sorted distinct keys of
-    D_k(m)) for m from the length of Pi_k down to 1, so Pi_k comes first.
-    D_0 = {1}.  D_k is built top-down from the levels of D_{k-1}, as this
-    generator yields them one k lower, each decoded whole, and each level
-    of D_{k-1} is dropped as soon as the level of D_k of its length is
-    built.  No level is held here once it is yielded.
-    """
-    from . import engine
-
-    if k == 0:
-        yield 1, engine.keys(engine.rows([(1,)], 1))
-        return
-    below: dict[int, np.ndarray] = {}
-    for m, keys in _downset(family, k - 1):
-        below[m] = engine.from_keys(keys, m)
-        del keys  # before the next level is built
-    for m in range(max(below) + _MAX_INSIDE[family], 0, -1):
-        # a list emptied by the yield, so this frame holds no reference
-        built = [_downset_level(below, m, family)]
-        below.pop(m, None)
-        yield m, built.pop()
-
-
 def generator_set(family: Family, k: int) -> np.ndarray:
     """Pi_k as an `engine` level, grown from Pi_0 one top level at a time;
     no file is read or written.  A Pi_k longer than the engine's limit
@@ -312,77 +301,97 @@ def _generator_length(family: Family, k: int) -> int:
     return k + 1 if family is Family.PANCAKE else 2 * k + 1
 
 
-def _computed_histogram(family: Family, k: int) -> gridclass.LengthHistogram:
+def _computed_histograms(family: Family, k: int) -> list[gridclass.LengthHistogram]:
     """
-    The compact rows of each level of the downset of Pi_k, counted from its
-    keys as the levels are built and then dropped; no level of it is
-    decoded whole and no file is touched.  A Pi_k longer than the engine's
+    The histograms of classes 0..k, from one walk: D_1, ..., D_k are built
+    in turn, each top-down from the one before (D_0 = {1}), and the compact
+    rows of every level are counted as it is built.  The levels of
+    D_1..D_{k-1} are decoded whole for the next step and counted from
+    their rows, and each level of D_{j-1} is dropped once the level of D_j
+    of its length is built; those of D_k, Pi_k first, are counted from
+    their keys a block of rows at a time, so no level of D_k is decoded
+    whole.  No file is touched.  A Pi_k longer than the engine's
     limit raises ValueError before the first growth step.  Two facts that
-    the histogram cannot show are checked here, each with an explicit
-    raise of AssertionError: every member of Pi_k, the first level, is
-    compact, and, once every level is counted, the per-level identity
-    e_m + e_{m-1} = c_{m-1} for m = 1..L+1 (see the module docstring),
-    with e_m the compact rows of length m that end in +m.  That the top
-    length is L is a fact of the histogram, left to the polynomial gate.
+    a histogram cannot show are checked on every class, each with an
+    explicit raise of AssertionError: every member of Pi_j, the first level
+    of D_j, is compact, and, once every level of D_j is counted, the
+    per-level identity e_m + e_{m-1} = c_{m-1} for m = 1..L+1 (see the
+    module docstring), with e_m the compact rows of length m that end in
+    +m.  That the top length is L is a fact of the histogram, left to the
+    polynomial gate.
     """
     from . import engine
 
-    length = _generator_length(family, k)
-    engine.check_length(length)
-    counts, ends = {0: 1}, {0: 0}  # the empty permutation, which ends in no +0
-    for m, keys in _downset(family, k):
-        counts[m], ends[m] = engine.compact_count(keys, m)
-        if len(counts) == 2 and counts[m] != len(keys):  # Pi_k
-            raise AssertionError(f"{family.value} k={k}: Pi_{k} has {len(keys)} members, {counts[m]} of them compact")
-        del keys  # before the next level is built
-    ends[length + 1] = 0  # a longer level is the degree check's to refuse
-    for m in range(1, length + 2):
-        end, want = ends.get(m, 0), counts.get(m - 1, 0) - ends.get(m - 1, 0)
-        if end != want:
-            raise AssertionError(f"{family.value} k={k}: {end} compact members of length {m} end in +{m}, not {want}")
-    return gridclass.LengthHistogram({m: count for m, count in counts.items() if m and count}, True)
+    engine.check_length(_generator_length(family, k))
+    hists, below = [gridclass.LengthHistogram({1: 1}, True)], {1: engine.rows([(1,)], 1)}
+    for j in range(1, k + 1):
+        counts, ends, built = {0: 1}, {0: 0}, {}  # the empty permutation, which ends in no +0
+        for m in range(max(below) + _MAX_INSIDE[family], 0, -1):
+            keys = _downset_level(below, m, family)
+            below.pop(m, None)
+            if j < k:  # decoded whole for the next step, so counted from its rows
+                built[m] = engine.from_keys(keys, m)
+            counts[m], ends[m] = engine.count_compact_rows(built[m]) if j < k else engine.compact_count(keys, m)
+            if len(counts) == 2 and counts[m] != len(keys):  # Pi_j
+                raise AssertionError(f"{family.value} k={j}: Pi_{j} has {len(keys)} members, {counts[m]} of them compact")
+            del keys  # before the next level is built
+        below, length = built, _generator_length(family, j)
+        ends[length + 1] = 0  # a longer level is the degree check's to refuse
+        for m in range(1, length + 2):
+            end, want = ends.get(m, 0), counts.get(m - 1, 0) - ends.get(m - 1, 0)
+            if end != want:
+                raise AssertionError(f"{family.value} k={j}: {end} compact members of length {m} end in +{m}, not {want}")
+        hists.append(gridclass.LengthHistogram({m: count for m, count in counts.items() if m and count}, True))
+    return hists
 
 
-def distance_class(
+def distance_classes(
     family: Family,
-    k: int,
+    ks: range,
     k_ceiling: int | None = None,
     cache_dir: Path | None = None,
-) -> tuple[gridclass.LengthHistogram, poly.Polynomial]:
+) -> list[tuple[gridclass.LengthHistogram, poly.Polynomial]]:
     """
-    The length histogram of the compact representatives of the
-    distance-<=k class and its polynomial, which counts signed permutations
-    of length n whose sorting distance under the family is at most k, valid
-    for all n >= 1.
+    For each k in `ks`, the length histogram of the compact representatives
+    of the distance-<=k class and its polynomial, which counts signed
+    permutations of length n whose sorting distance under the family is at
+    most k, valid for all n >= 1.
 
-    Raises ResourceLimitError above the ceiling (defaults: pancake 10,
-    reversal 5) before any work starts; pass `k_ceiling` to raise or lower
-    the guard.  The histogram is read from the store, else computed from
-    the downset of Pi_k, and either passes the same gate: `check_polynomial`,
-    then the empty permutation with P(0) = 1 (see the module docstring),
-    then `check_counts`.
-    A stored histogram that fails raises ValueError naming the file.  Only
-    a computed class that passes is written to the store: Pi_k, grown
-    again, as `pi_k.perms` (k >= 1), an export the program never reads
-    back, and then `S_k.hist`, last.
+    Raises ResourceLimitError for a k above the ceiling (defaults: pancake
+    10, reversal 5) before any work starts; pass `k_ceiling` to raise or
+    lower the guard.  Each histogram is read from the store, and those not
+    stored come from one walk to the highest of them
+    (`_computed_histograms`).  Either kind passes the same gate, class by
+    class: `check_polynomial`, then the empty permutation with P(0) = 1
+    (see the module docstring), then `check_counts`.  A stored histogram
+    that fails raises ValueError naming the file.  Only a computed class
+    in `ks` that passes is written to the store: Pi_k, grown again, as
+    `pi_k.perms` (k >= 1), an export the program never reads back, and
+    then `S_k.hist`, last.
     """
-    check_k(family, k, k_ceiling)
-    path = None if cache_dir is None else cache.hist_path(cache_dir, family, k)
-    stored = path is not None and path.exists()
-    hist = cache.read_histogram(path) if stored else _computed_histogram(family, k)
-    p = poly.from_histogram(hist.counts)
-    try:
-        check_polynomial(family, k, p)
-        if not (hist.has_epsilon and p(0) == 1):
-            raise ValueError(f"{family.value} k={k}: epsilon={int(hist.has_epsilon)} and P(0) = {p(0)}, not 1 and 1")
-        check_counts(family, k, p)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}; clear the store") if stored else exc
-    if path is not None and not stored:
-        if k:
-            cache.write_levels(cache.pi_path(cache_dir, family, k), [generator_set(family, k)])
-        cache.write_histogram(path, hist)
-    return hist, p
+    for k in ks:
+        check_k(family, k, k_ceiling)
+    paths = {k: None if cache_dir is None else cache.hist_path(cache_dir, family, k) for k in ks}
+    missing = [k for k, path in paths.items() if path is None or not path.exists()]
+    computed = _computed_histograms(family, max(missing)) if missing else []
+    classes = []
+    for k, path in paths.items():
+        stored = k not in missing
+        hist = cache.read_histogram(path) if stored else computed[k]
+        p = poly.from_histogram(hist.counts)
+        try:
+            check_polynomial(family, k, p)
+            if not (hist.has_epsilon and p(0) == 1):
+                raise ValueError(f"{family.value} k={k}: epsilon={int(hist.has_epsilon)} and P(0) = {p(0)}, not 1 and 1")
+            check_counts(family, k, p)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}; clear the store") if stored else exc
+        if path is not None and not stored:
+            if k:
+                cache.write_levels(cache.pi_path(cache_dir, family, k), [generator_set(family, k)])
+            cache.write_histogram(path, hist)
+        classes.append((hist, p))
+    return classes
 
 
 def distance_polynomial(
@@ -391,8 +400,8 @@ def distance_polynomial(
     k_ceiling: int | None = None,
     cache_dir: Path | None = None,
 ) -> poly.Polynomial:
-    """The polynomial of the distance-<=k class (see `distance_class`)."""
-    return distance_class(family, k, k_ceiling, cache_dir)[1]
+    """The polynomial of the distance-<=k class (see `distance_classes`)."""
+    return distance_classes(family, range(k, k + 1), k_ceiling, cache_dir)[0][1]
 
 
 def check_polynomial(family: Family, k: int, p: poly.Polynomial) -> None:
@@ -423,16 +432,19 @@ def check_counts(family: Family, k: int, p: poly.Polynomial) -> None:
     """
     Raise ValueError, naming k and the first n that disagrees, unless p(n)
     is the number of signed permutations of length n at distance at most k
-    from the identity for every n = 1..7, as `BFS_LAYERS` gives them.
-    Compact members of length 8 and up add nothing to p(1..7), so levels
-    that long go unchecked here.  The `--exact` difference P_k - P_{k-1}
-    needs no check of its own: both terms passed this one, so it equals
-    layer k of B_1..B_7.
+    from the identity for every n whose row of `BFS_LAYERS` holds that
+    number: every n = 1..7, and n = 8 and up for k within the row, which
+    reaches the default ceiling on k.  With P(0) = 1 and, for pancakes, the
+    leading coefficient, that is deg + 1 conditions on every class within
+    the default ceilings, so it fixes the polynomial.  The `--exact`
+    difference P_k - P_{k-1} needs no check of its own: both terms passed
+    this one, so it equals layer k of every B_n checked.
     """
     for n, layers in enumerate(BFS_LAYERS[family], 1):
-        want = sum(layers[: k + 1])
-        if p(n) != want:
-            raise ValueError(f"{family.value} k={k}: P({n}) = {p(n)}, but B_{n} has {want} at distance at most {k}")
+        if k < len(layers) or sum(layers) == 2**n * factorial(n):
+            want = sum(layers[: k + 1])
+            if p(n) != want:
+                raise ValueError(f"{family.value} k={k}: P({n}) = {p(n)}, but B_{n} has {want} at distance at most {k}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ times as long on ten million keys.  `unique_keys` is the engine's only
 union, and a caller that needs rows decodes its keys with the length it
 already has, as `expand` and the closure do.  The codec is public for
 them, for the BFS oracle, which keeps its layers as sorted keys, and for
-`distance`, which counts the compact rows of every downset level of the
-last class from their keys:
+`distance`, which counts the compact rows of every downset level, those
+of the last class from their keys:
 
     keys(level)               the key of every row of a level, or of a
                               stack of levels, as one flat array
@@ -39,8 +39,10 @@ last class from their keys:
     unique_keys(parts)        the sorted distinct keys of the rows of
                               same-length levels or stacks of them, at
                               least one part
-    compact_count(keys, m)    the compact rows among keys, and those of them
-                              that end in +m, a block at a time
+    count_compact_rows(l)     the compact rows of a level, and those of them
+                              that end in +m
+    compact_count(keys, m)    the same for the rows of keys, decoded a block
+                              at a time
 
 Levels are column-major where they are made in bulk: `from_keys` and
 `split_column` write them a column at a time, and `keys` reads them a
@@ -205,16 +207,22 @@ def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
     return columns.T
 
 
+def count_compact_rows(level: np.ndarray) -> tuple[int, int]:
+    """The number of compact rows of a level of length m, and of those
+    that end in +m."""
+    mask = compact_mask(level)
+    return int(np.count_nonzero(mask)), int(np.count_nonzero(mask & (level[:, -1] == level.shape[1])))
+
+
 def compact_count(keys: np.ndarray, m: int) -> tuple[int, int]:
-    """The number of compact rows among keys of length-m rows, and of
-    those that end in +m, decoded one block of rows at a time, so no whole
-    level is ever decoded."""
+    """`count_compact_rows` of the level of length m with these keys,
+    decoded one block of rows at a time, so no whole level is ever
+    decoded."""
     compact = ends = 0
     for start in range(0, len(keys), _COUNT_ROWS):
-        level = from_keys(keys[start : start + _COUNT_ROWS], m)
-        mask = compact_mask(level)
-        compact += int(np.count_nonzero(mask))
-        ends += int(np.count_nonzero(mask & (level[:, -1] == m)))
+        block_compact, block_ends = count_compact_rows(from_keys(keys[start : start + _COUNT_ROWS], m))
+        compact += block_compact
+        ends += block_ends
     return compact, ends
 
 

@@ -26,7 +26,7 @@ from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .distance import Family, ResourceLimitError, check_k, distance_polynomial
+from .distance import Family, ResourceLimitError, check_k, distance_classes
 
 if TYPE_CHECKING:  # numpy is loaded only when a search starts
     import numpy as np
@@ -236,7 +236,7 @@ def verify(
     """
     check_k(family, k_max, k_ceiling)
     check_n(n_max, n_ceiling)
-    polys = [distance_polynomial(family, k, k_ceiling, cache_dir) for k in range(k_max + 1)]
+    polys = [p for _, p in distance_classes(family, range(k_max + 1), k_ceiling, cache_dir)]
     rows = []
     for n in range(1, n_max + 1):
         layers = ball(n, k_max, family, n_ceiling)

@@ -1,11 +1,15 @@
 """Command-line behavior: output formats, exit codes, cache, determinism."""
 import json
+import math
 
 import pytest
 
-from signedgrids import distance, engine
+from signedgrids import cache, distance, engine
 from signedgrids.cli import CACHE_DIR_ENV, main
 from signedgrids.gridclass import LengthHistogram
+from signedgrids.poly import format_coeff_array
+
+import tables
 
 
 def _no_growth(below, m, family):
@@ -164,6 +168,29 @@ class TestDistanceCommands:
         assert out.splitlines()[0] == "# |Pi_5| = 120"
         assert built == [m for j in range(1, 6) for m in range(j + 1, 0, -1)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("pancake", "--k", "5", "--exact"), ("verify", "--family", "pancake", "--k-max", "5", "--n-max", "4")],
+        ids=["exact", "verify"],
+    )
+    def test_one_walk_serves_every_class(self, capsys, monkeypatch, argv):
+        # a cold request for classes 0..5 or 4..5 with no store builds each
+        # level of D_1..D_5 once, as `pancake --k 5` alone does
+        built = []
+        level_of = distance._downset_level
+
+        def counting_level(below, m, family):
+            built.append(m)
+            return level_of(below, m, family)
+
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.setattr(distance, "_downset_level", counting_level)
+        for query in (("pancake", "--k", "5"), argv):
+            built.clear()
+            code, _, _ = run(capsys, *query)
+            assert code == 0
+            assert built == [m for j in range(1, 6) for m in range(j + 1, 0, -1)]
+
     @pytest.mark.parametrize("k", ["1", "2"])
     def test_growth_with_no_moves_for_a_level_refused(self, capsys, monkeypatch, k):
         # Reversal M_2 without the adjacent halves (j == i + 1) has no move
@@ -278,17 +305,17 @@ class TestCache:
                 "reversal",
                 5,
                 {"8 1875": "8 1001875", "9 444": "9 1000444"},
-                "error: reversal k=5: P(8) = -315475 is outside 0..2^n n! = 10321920",
+                "S_4.hist: reversal k=4: P(8) = 1128647, but B_8 has 128647 at distance at most 4",
             ),
         ],
         ids=["pancake-3-2 3-2 6", "reversal-2-2 2-2 6", "reversal-5-8 1875-8 1001875"],
     )
     def test_exact_rejects_a_shorter_class_larger_than_its_successor(self, capsys, tmp_path, family, k, edits, check):
         # 10^6 more at lengths 8 and 9 of reversal S_4.hist adds
-        # 10^6 C(n, 8) to P_4: P(0) = 1, the degree and P(1..7), and so
-        # the BFS counts of B_1..B_7, stay as they were, and P_4 passes its
-        # gate, but P_4(8) now exceeds P_5(8) by 315475 and only the
-        # difference shows it.  The edited reversal S_1.hist passes every
+        # 10^6 C(n, 8) to P_4: P(0) = 1, the degree and P(1..7) stay as
+        # they were, and P_4(8) exceeds P_5(8) by 315475, which the
+        # difference would show, but the count of B_8 within distance 4
+        # refuses S_4.hist itself first.  The edited reversal S_1.hist passes every
         # invariant of P_1 alone and P_2 - P_1 is negative at n = 2, but the
         # BFS counts refuse S_1.hist itself.  No edit of two pancake count
         # lines by up to 6 each passes the gate on P_{k-1} and fails only
@@ -304,12 +331,43 @@ class TestCache:
         assert (code, out) == (2, "")
         assert check in err
 
+    def test_compensating_edit_past_length_7_rejected(self, capsys, tmp_path):
+        # +1 at lengths 8 and 9 adds C(n - 1, 7) + C(n - 1, 8) to P_4:
+        # P(0) = 1, the degree and P(1..7) stay as they were, and
+        # P(8) = 128648 passes every invariant but the count of B_8
+        run(capsys, "--cache-dir", str(tmp_path), "reversal", "--k", "4")
+        target = tmp_path / "reversal" / "S_4.hist"
+        lines = target.read_text().splitlines()
+        edits = {"8 1875": "8 1876", "9 444": "9 445"}
+        assert sum(line in edits for line in lines) == len(edits)
+        target.write_text("".join(edits.get(line, line) + "\n" for line in lines))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "--verbose", "reversal", "--k", "4")
+        assert (code, out) == (2, "")
+        assert "S_4.hist: reversal k=4: P(8) = 128648, but B_8 has 128647 at distance at most 4; clear the store" in err
+
+    def test_stored_pancake_ten_fixed_by_the_count_of_b9(self, capsys, tmp_path):
+        # The published P_10 gives c_m, the compact members of length m, as
+        # its m-1st forward difference at n = 1.  +1 at lengths 9 and 10
+        # adds C(n - 1, 8) + C(n - 1, 9): P(0), P(1..8), the degree and the
+        # leading coefficient stay as they were, so only P(9) shows it.
+        # No walk runs: the store holds the class.
+        p = tables.PANCAKE_AT_MOST[10]
+        counts = {m: sum((-1) ** (m - 1 - i) * math.comb(m - 1, i) * p(1 + i) for i in range(m)) for m in range(1, 12)}
+        target = tmp_path / "pancake" / "S_10.hist"
+        for extra in (0, 1):
+            cache.write_histogram(target, LengthHistogram({m: int(c) + extra * (m in (9, 10)) for m, c in counts.items()}, True))
+            code, out, err = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "10")
+            if not extra:
+                assert (code, out) == (0, format_coeff_array(p) + "\n")
+        assert (code, out) == (2, "")
+        assert "S_10.hist: pancake k=10: P(9) = 51129747, but B_9 has 51129746 at distance at most 10" in err
+
     def test_histogram_failing_the_gate_is_never_stored(self, capsys, tmp_path, monkeypatch):
         # the true pancake k = 3 histogram less one member of Pi_3: every
         # count positive and the top length right, so only the polynomial's
         # leading coefficient shows the loss
         less_one = LengthHistogram({1: 2, 2: 5, 3: 10, 4: 5}, True)
-        monkeypatch.setattr(distance, "_computed_histogram", lambda family, k: less_one)
+        monkeypatch.setattr(distance, "_computed_histograms", lambda family, k: [less_one] * (k + 1))
         for _ in range(2):
             code, out, err = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "3")
             assert (code, out) == (2, "")

@@ -17,7 +17,7 @@ from signedgrids.distance import (
     apply_move,
     check_counts,
     check_polynomial,
-    distance_class,
+    distance_classes,
     distance_polynomial,
     pancake_pi,
     reversal_pi,
@@ -97,7 +97,7 @@ class TestGeneratorCheck:
         monkeypatch.setattr(distance, "_downset_level", one_more)
         monkeypatch.setitem(distance._MAX_INSIDE, Family.PANCAKE, len(extra) - 1)
         with pytest.raises(error, match=check):
-            distance_class(Family.PANCAKE, 1, cache_dir=tmp_path)
+            distance_classes(Family.PANCAKE, range(1, 2), cache_dir=tmp_path)
         # the patched step built the top level of the class, Pi_1
         assert len(tops) == 1 and extra in tops[0]
         assert not (tmp_path / "pancake" / "S_1.hist").exists()
@@ -108,16 +108,21 @@ class TestGeneratorCheck:
         # are those of D_{j-1} no longer than m and, except on the last
         # step, the longer levels of D_j itself: D_{j-1}(m) is dropped once
         # D_j(m) is built, D_{j-1} once D_j is whole, and the last step
-        # keeps no level it has yielded.  The last step counts every level,
-        # Pi_k included, from its keys in blocks of at most `block` rows,
-        # and decodes none whole.  Only once the walk is over does a store
-        # get Pi_k, grown again by `generator_set`.
+        # keeps no level it has yielded.  Every level of every class is
+        # counted once: those of D_1..D_{k-1} from their rows, decoded
+        # whole once each, and those of D_k, Pi_k included, from their
+        # keys in blocks of at most `block` rows, none decoded whole.  Only
+        # once the walk is over does a store get Pi_k, grown again by
+        # `generator_set`.
         k, block = 3, 8
         refs = {}  # (j, m) -> weak references to D_j(m), as keys and as rows
-        built = []  # (j, m), from D_0(1), the base, decoded before any step
-        decoded = []  # (length, rows decoded) on the last step
+        built = []  # (j, m), from D_0(1), the base, made before any step
+        counted, whole, blocks = [], [], []  # (how, (j, m)) counted; (j, m) decoded whole; (j, m, rows) per block
+        counting = []  # nonempty while a level is counted, so a decode is one of its blocks
         after = []  # growth steps and decodes once the walk is over
-        level_of, from_keys, walk = distance._downset_level, engine.from_keys, distance._computed_histogram
+        level_of, from_keys, count = distance._downset_level, engine.from_keys, engine.compact_count
+        count_rows = engine.count_compact_rows
+        walk = distance._computed_histograms
 
         def alive():
             return {key for key, held in refs.items() if any(ref() is not None for ref in held)}
@@ -138,37 +143,55 @@ class TestGeneratorCheck:
             built.append((j, m))
             return record(level_of(below, m, family))
 
+        def recording_count(keys, m):
+            counted.append(("keys", built[-1]))
+            counting.append(m)
+            try:
+                return count(keys, m)
+            finally:
+                counting.pop()
+
+        def recording_rows(level):
+            if not counting:
+                counted.append(("rows", built[-1]))
+            return count_rows(level)
+
         def recording_from_keys(keys, m):
             if built[-1] is None:
                 after.append(("decode", m, len(keys)))
-                return from_keys(keys, m)
-            j, length = built[-1]
-            if j < k:
-                record(keys)
+            elif counting:
+                blocks.append((*built[-1], len(keys)))
+            else:
+                whole.append(built[-1])
                 return record(from_keys(keys, m))
-            decoded.append((length, len(keys)))
             return from_keys(keys, m)
 
         def recording_walk(*args):
-            hist = walk(*args)
+            hists = walk(*args)
             built.append(None)  # the walk is over
-            return hist
+            return hists
 
         monkeypatch.setattr(distance, "_downset_level", recording_level)
-        monkeypatch.setattr(distance, "_computed_histogram", recording_walk)
+        monkeypatch.setattr(distance, "_computed_histograms", recording_walk)
         monkeypatch.setattr(engine, "from_keys", recording_from_keys)
+        monkeypatch.setattr(engine, "compact_count", recording_count)
+        monkeypatch.setattr(engine, "count_compact_rows", recording_rows)
         monkeypatch.setattr(engine, "_COUNT_ROWS", block)
+        steps = [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
         for store in (None, tmp_path):
-            refs.clear(), decoded.clear(), after.clear()
+            refs.clear(), counted.clear(), whole.clear(), blocks.clear(), after.clear()
             built[:] = [(0, 1)]
-            hist, _ = distance_class(Family.REVERSAL, k, cache_dir=store)
+            [(hist, _)] = distance_classes(Family.REVERSAL, range(k, k + 1), cache_dir=store)
             assert hist.counts[2 * k + 1] == 35
-            assert built[1:-1] == [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
+            assert built[1:-1] == steps
             assert alive() == set()
-            # every level of D_k, some of them longer than a block, is
-            # counted a block at a time, and none is decoded whole
-            assert {m for m, _ in decoded} == set(range(1, 2 * k + 2))
-            assert [(m, n) for m, n in decoded if n > block] == []
+            # every level of every class is counted once; D_1..D_{k-1}
+            # are decoded whole once each, and D_k never, only a block at
+            # a time
+            assert counted == [("rows" if j < k else "keys", (j, m)) for j, m in steps]
+            assert whole == [(j, m) for j, m in steps if j < k]
+            assert {(j, m) for j, m, _ in blocks} == {(k, m) for m in range(1, 2 * k + 2)}
+            assert [n for _, _, n in blocks if n > block] == []
             assert max(hist.counts.values()) > block
             # after the walk, a store's export takes the k top-level steps
             # of `generator_set` and decodes each top level once, Pi_k last
@@ -218,23 +241,25 @@ def _one_less(below, m, family):
 
 
 class TestLevelIdentity:
-    # Growth mutants, each caught by e_m + e_{m-1} = c_{m-1} at the length
-    # given.  All but the last printed a wrong polynomial with exit 0 before
-    # the identity was checked: every value an integer in range, and for
-    # pancakes a leading coefficient of 1.  The long-rows-only pancake
-    # mutant damages no level shorter than 9.  `_one_less` was already
-    # refused by the leading coefficient, and now fails the identity first.
+    # Growth mutants, each caught by e_m + e_{m-1} = c_{m-1} in class j at
+    # the length m given.  The walk checks every class on its way to k, so
+    # most fail in a class below k.  All but the last printed a wrong
+    # polynomial with exit 0 before the identity was checked: every value
+    # an integer in range, and for pancakes a leading coefficient of 1.
+    # The long-rows-only pancake mutant damages no level shorter than 9.
+    # `_one_less` was already refused by the leading coefficient, and now
+    # fails the identity first.
     @pytest.mark.parametrize(
-        "target,mutant,family,k,m",
+        "target,mutant,family,k,j,m",
         [
-            ("_split_moves", _pancake_without_the_full_flip(1), Family.PANCAKE, 3, 2),
-            ("_split_moves", _pancake_without_the_full_flip(9), Family.PANCAKE, 9, 10),
-            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 2, 2),
-            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 4, 2),
-            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 2, 4),
-            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 3, 4),
-            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 4, 5),
-            ("_downset_level", _one_less, Family.PANCAKE, 3, 3),
+            ("_split_moves", _pancake_without_the_full_flip(1), Family.PANCAKE, 3, 1, 2),
+            ("_split_moves", _pancake_without_the_full_flip(9), Family.PANCAKE, 9, 9, 10),
+            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 2, 1, 1),
+            ("_split_moves", _reversal_without_the_empty_segment, Family.REVERSAL, 4, 1, 1),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 2, 1, 3),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 3, 1, 3),
+            ("_split_moves", _reversal_m1_without_its_last_right_cut, Family.REVERSAL, 4, 1, 3),
+            ("_downset_level", _one_less, Family.PANCAKE, 3, 2, 3),
         ],
         ids=[
             "pancake-no-full-flip-3",
@@ -247,17 +272,27 @@ class TestLevelIdentity:
             "pancake-one-less-3",
         ],
     )
-    def test_growth_mutant_refused(self, tmp_path, capsys, monkeypatch, target, mutant, family, k, m):
+    def test_growth_mutant_refused(self, tmp_path, capsys, monkeypatch, target, mutant, family, k, j, m):
         monkeypatch.setattr(distance, target, mutant)
-        found = rf"{family.value} k={k}: \d+ compact members of length {m} end in \+{m}, not \d+$"
+        found = rf"^{family.value} k={j}: \d+ compact members of length {m} end in \+{m}, not \d+$"
         with pytest.raises(AssertionError, match=found):
-            distance_class(family, k, cache_dir=tmp_path)
+            distance_classes(family, range(k, k + 1), cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
         # the CLI lets AssertionError through, so the process exits nonzero
-        with pytest.raises(AssertionError, match=f"length {m} end in"):
+        with pytest.raises(AssertionError, match=found):
             main(["--cache-dir", str(tmp_path), family.value, "--k", str(k)])
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+def _unchecked_counts(family, k):
+    """The compact rows of each level of D_k, k >= 1, grown with
+    `_downset_level` as the walk grows them but counted with no check."""
+    below = {1: engine.rows([(1,)], 1)}
+    for _ in range(k):
+        levels = {m: distance._downset_level(below, m, family) for m in range(max(below) + distance._MAX_INSIDE[family], 0, -1)}
+        below = {m: engine.from_keys(keys, m) for m, keys in levels.items()}
+    return {m: engine.compact_count(keys, m)[0] for m, keys in levels.items()}
 
 
 class TestCountsGate:
@@ -288,7 +323,7 @@ class TestCountsGate:
     )
     def test_growth_mutant_fails_the_counts(self, monkeypatch, target, mutant, family, k):
         monkeypatch.setattr(distance, target, mutant)
-        counts = {m: engine.compact_count(keys, m)[0] for m, keys in distance._downset(family, k)}
+        counts = _unchecked_counts(family, k)
         p = from_histogram({m: count for m, count in counts.items() if count})
         found = rf"^{family.value} k={k}: P\(\d\) = -?\d+, but B_\d has \d+ at distance at most {k}$"
         with pytest.raises(ValueError, match=found):
@@ -304,14 +339,28 @@ class TestCountsGate:
     ],
     ids=str,
 )
-def test_downset_levels_equal_deletion_closure(family, k):
+def test_downset_levels_equal_deletion_closure(monkeypatch, family, k):
     # every level of the downset grown move by move, Pi_k first, is, row
     # for row, the level that deleting single entries from Pi_k reaches;
-    # the levels come as keys, which are exact, so equal keys are equal rows
+    # the walk hands each level to `compact_count` as keys, which are
+    # exact, so equal keys are equal rows.  A class's levels come top
+    # down, so the last run that starts at the top length is D_k.
+    levels, count = [], engine.compact_count
+
+    def kept(keys, m):
+        if levels and m > levels[-1][0]:
+            levels.clear()
+        levels.append((m, keys))
+        return count(keys, m)
+
+    monkeypatch.setattr(engine, "compact_count", kept)
+    distance._computed_histograms(family, k)
+    monkeypatch.undo()
     expected = [distance.generator_set(family, k)]
     while expected[-1].shape[1] > 1:
         expected.append(engine.expand(expected[-1]))
-    levels = list(distance._downset(family, k))
+    if k == 0:  # D_0 = {1} is the walk's base, counted by no step
+        levels = [(1, engine.keys(engine.rows([(1,)], 1)))]
     assert [m for m, _ in levels] == [level.shape[1] for level in expected]
     for (m, keys), want in zip(levels, expected):
         assert np.array_equal(keys, engine.keys(want)), f"{family.value} k={k}, length {m}"

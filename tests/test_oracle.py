@@ -96,6 +96,25 @@ class TestBfsHistogram:
         assert BFS_LAYERS[family][n - 1] == bfs_histogram(n, family).counts
 
 
+@pytest.mark.parametrize(
+    "family,n",
+    [
+        (Family.REVERSAL, 8),
+        *(
+            pytest.param(family, n, marks=pytest.mark.stretch)
+            for family, n in [(Family.REVERSAL, 9), (Family.REVERSAL, 10), (Family.PANCAKE, 8), (Family.PANCAKE, 9)]
+        ),
+    ],
+    ids=str,
+)
+def test_gate_rows_past_b7_are_the_ball(family, n):
+    # the rows the gate reads past B_7 reach the default ceiling on k, no
+    # further; pancake B_9 takes about 17 s and 1.4 GB on 2 cores
+    row = BFS_LAYERS[family][n - 1]
+    assert len(row) == distance.DEFAULT_K_CEILING[family] + 1
+    assert ball(n, len(row) - 1, family, n_ceiling=n) == row
+
+
 def _without_the_last_move(monkeypatch):
     moves = oracle._moves
     monkeypatch.setattr(oracle, "_moves", lambda n, family: moves(n, family)[:-1])
@@ -193,8 +212,8 @@ class TestVerify:
         # one union of every move's images per layer built: at k_max = 3 no
         # search builds layer 4, and B_1, whose diameter is 1, tries layer 2
         # and finds it empty
-        polys = [distance.distance_polynomial(Family.PANCAKE, k) for k in range(4)]
-        monkeypatch.setattr(oracle, "distance_polynomial", lambda family, k, *_: polys[k])
+        classes = distance.distance_classes(Family.PANCAKE, range(4))
+        monkeypatch.setattr(oracle, "distance_classes", lambda family, ks, *_: [classes[k] for k in ks])
         unions, unique_keys = Counter(), engine.unique_keys
 
         def counted(parts):
