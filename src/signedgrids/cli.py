@@ -67,6 +67,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         members = gridclass.permset_from_lines(lines)
     hist = gridclass.closure_histogram(members)
     p = poly.from_histogram(hist.counts)
+    poly.check_counting(p, "grid class")
     if args.verbose:
         print(_hist_summary(hist))
     _print_poly(p, args)

@@ -40,11 +40,14 @@ most split entries.  This one step, `_downset_level`, builds every level:
 `_computed_histograms`, builds D_1, ..., D_k in turn, each top-down from
 the one before, dropping each level of D_{j-1} once the level of D_j of
 its length is built.  The classes are nested, so that walk yields the
-histogram of every class up to k.  A level leaves the merge as sorted
-distinct keys (`engine.unique_keys`).  Those of D_1..D_{k-1} are decoded
-whole for the next step, and their compact rows counted from the rows
-(`engine.count_compact_rows`); those of D_k, Pi_k first, are only
-counted, from the keys a block of rows at a time
+histogram of every class up to k.  `_split_moves` gives each M_c as
+plans (level, columns to split, segments to reverse), and
+`_downset_level` sizes the union from the plans before it gathers their
+parts, so the parts and the row count come from one list.  A level
+leaves the union as sorted distinct keys (`engine.unique_keys`).  Those
+of D_1..D_{k-1} are decoded whole for the next step, and their compact
+rows counted from the rows (`engine.count_compact_rows`); those of D_k,
+Pi_k first, are only counted, from the keys a block of rows at a time
 (`engine.compact_count`), so no level of D_k is ever decoded whole.
 
 Every distance class satisfies two facts that its histogram can show.
@@ -112,6 +115,10 @@ if TYPE_CHECKING:  # numpy is loaded by `engine` on the first growth step
     import numpy as np
 
     from .perm import SignedPerm
+
+    # A part of a growth step (`_split_moves`): a level, the columns split
+    # in turn, and the segments reversed and negated.
+    Plan = tuple[np.ndarray, tuple[int, ...], list[tuple[int, int]]]
 
 
 class Family(enum.Enum):
@@ -183,11 +190,12 @@ _MAX_INSIDE = {Family.PANCAKE: 1, Family.REVERSAL: 2}
 
 # Candidate rows per gather in `_reverse_segments`, which yields each gather
 # whole; `_downset_level` hands the gathers to `engine.unique_keys`, which
-# keys each in one pass per column.  A gather stays alive until the next one
-# is yielded, through any merge in between.  At pancake k = 10, 2^19 rows
-# took the least wall time and RSS (2-core Xeon, Python 3.11, numpy 2.4):
-# 2^20 had a 2% lower tracemalloc peak but 14% more RSS, and 2^18 was
-# higher on both.
+# keys each in one pass per column into its slice of the union's buffer.  A
+# gather stays alive until the next one is yielded, through any merge of a
+# batch in between.  At pancake k = 10, 2^19 rows took the least wall time
+# and RSS when each gather was keyed into an array of its own (2-core Xeon,
+# Python 3.11, numpy 2.4): 2^20 had a 2% lower tracemalloc peak but 14% more
+# RSS, and 2^18 was higher on both.
 _PART_ROWS = 1 << 19
 
 
@@ -213,47 +221,64 @@ def _reverse_segments(level: np.ndarray, segments: list[tuple[int, int]]) -> Ite
         yield (level[start : start + step, order] * sign).transpose(1, 0, 2)
 
 
-def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[np.ndarray]:
+def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[Plan]:
     """
-    M_inside of an `engine` level, in parts: `inside` entries of every row
-    are split into monotone pairs, and the segment between two cuts is
-    reversed and negated, where exactly `inside` of the cuts sit between
-    the halves of a split entry and the rest fall between entries (empty
-    segments included).  For pancakes the left cut is pinned at position 0.
+    M_inside of an `engine` level, as plans (level, columns, segments):
+    the given columns of every row are split into monotone pairs in turn,
+    and then each segment of the split rows is reversed and negated, one
+    copy per segment.  Across the plans, `inside` entries of every row
+    are split, and the segment between two cuts is reversed and negated,
+    where exactly `inside` of the cuts sit between the halves of a split
+    entry and the rest fall between entries (empty segments included).
+    For pancakes the left cut is pinned at position 0.
     """
-    from . import engine
-
-    pinned = family is Family.PANCAKE
+    m, pinned = level.shape[1], family is Family.PANCAKE
     if inside == 0:
-        m = level.shape[1]
         if pinned:
             ends = [(0, b) for b in range(m + 1)]
         else:  # one empty segment, (0, 0), stands for them all
             ends = [(0, 0)] + [(a, b) for a in range(m) for b in range(a + 1, m + 1)]
-        yield from _reverse_segments(level, ends)
+        yield level, (), ends
     elif inside == 1:
-        for j in range(level.shape[1]):
-            once = engine.split_column(level, j)
+        for j in range(m):
             t = j + 1  # the cut between the halves of entry j
-            ends = [(0, t)] if pinned else [(min(b, t), max(b, t)) for b in range(once.shape[1] + 1)]
-            yield from _reverse_segments(once, ends)
+            yield level, (j,), [(0, t)] if pinned else [(min(b, t), max(b, t)) for b in range(m + 2)]
     else:
         # j == i + 1 is the second half of entry i, so splitting it again
         # gives a block of three.
-        for i in range(level.shape[1]):
-            once = engine.split_column(level, i)
-            for j in range(i + 1, once.shape[1]):
-                yield from _reverse_segments(engine.split_column(once, j), [(i + 1, j + 1)])
+        for i in range(m):
+            for j in range(i + 1, m + 1):
+                yield level, (i, j), [(i + 1, j + 1)]
 
 
 def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.ndarray:
     """The sorted distinct keys of D_k(m), from the levels of D_{k-1}
     (length -> level): the union of M_c(D_{k-1}(m - c)) over the cuts c
-    that can sit inside a split entry."""
+    that can sit inside a split entry.  The union is sized from the same
+    plans that its parts are gathered from."""
     from . import engine
 
-    parts = (_split_moves(below[m - c], family, c) for c in range(_MAX_INSIDE[family] + 1) if m - c in below)
-    return engine.unique_keys(part for moved in parts for part in moved)
+    plans = [plan for c in range(_MAX_INSIDE[family] + 1) if m - c in below for plan in _split_moves(below[m - c], family, c)]
+    rows = sum(len(level) * len(segments) for level, _, segments in plans)
+    return engine.unique_keys(_gathers(plans), rows)
+
+
+def _gathers(plans: list[Plan]) -> Iterator[np.ndarray]:
+    """The parts of the plans in order: each plan's level split at its
+    columns in turn, and then its segments reversed (`_reverse_segments`).
+    The split at a plan's first column is kept for the plans that follow
+    with the same level and first column, as those of M_2 do."""
+    from . import engine
+
+    split = None, None, None  # a level, a column and the level split there
+    for level, columns, segments in plans:
+        if columns:
+            if split[0] is not level or split[1] != columns[0]:
+                split = level, columns[0], engine.split_column(level, columns[0])
+            level = split[2]
+        for j in columns[1:]:
+            level = engine.split_column(level, j)
+        yield from _reverse_segments(level, segments)
 
 
 def generator_set(family: Family, k: int) -> np.ndarray:
@@ -408,18 +433,14 @@ def check_polynomial(family: Family, k: int, p: poly.Polynomial) -> None:
     """
     Raise ValueError, naming k and the check, unless p passes the cheap
     invariants of a count of signed permutations by distance (at most k, or
-    exactly k): integer values at n = 1..deg+1, each within 0..2^n n!, for
-    pancakes a leading coefficient of 1, and degree L - 1, where L is the
-    generator length (k + 1 for pancakes, 2k + 1 for reversals).  For a
-    histogram of positive counts that degree says its top length is L, the
-    length of Pi_k; the difference of two classes has the larger's degree.
+    exactly k): those of every count of signed permutations
+    (`poly.check_counting`), for pancakes a leading coefficient of 1, and
+    degree L - 1, where L is the generator length (k + 1 for pancakes,
+    2k + 1 for reversals).  For a histogram of positive counts that degree
+    says its top length is L, the length of Pi_k; the difference of two
+    classes has the larger's degree.
     """
-    for n in range(1, p.degree + 2):
-        value = p(n)
-        if value.denominator != 1:
-            raise ValueError(f"{family.value} k={k}: P({n}) = {value} is not an integer")
-        if not 0 <= value <= 2**n * factorial(n):
-            raise ValueError(f"{family.value} k={k}: P({n}) = {value} is outside 0..2^n n! = {2**n * factorial(n)}")
+    poly.check_counting(p, f"{family.value} k={k}")
     lead = p.coeffs[-1] if p else 0
     if family is Family.PANCAKE and lead != 1:
         raise ValueError(f"{family.value} k={k}: the leading coefficient of P is {lead}, not 1")

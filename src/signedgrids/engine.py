@@ -28,17 +28,21 @@ Distinct rows come from an in-place sort of the keys and a neighbour mask,
 then decoding the keys by shifts and masks; `np.unique` took over ten
 times as long on ten million keys.  `unique_keys` is the engine's only
 union, and a caller that needs rows decodes its keys with the length it
-already has, as `expand` and the closure do.  The codec is public for
-them, for the BFS oracle, which keeps its layers as sorted keys, and for
-`distance`, which counts the compact rows of every downset level, those
-of the last class from their keys:
+already has, as `expand` and the closure do.  Its caller says how many
+rows the parts hold, counted from the same lists the parts come from, so
+every part's keys are written straight into one buffer and sorted once
+(see `unique_keys`).  The codec is public for them, for the BFS oracle,
+which keeps its layers as sorted keys, and for `distance`, which counts
+the compact rows of every downset level, those of the last class from
+their keys:
 
-    keys(level)               the key of every row of a level, or of a
-                              stack of levels, as one flat array
+    keys(level, out)          the key of every row of a level, or of a
+                              stack of levels, as one flat array, written
+                              into `out` if it is given
     from_keys(keys, m)        keys -> a level of length m
-    unique_keys(parts)        the sorted distinct keys of the rows of
+    unique_keys(parts, rows)  the sorted distinct keys of the rows of
                               same-length levels or stacks of them, at
-                              least one part
+                              least one part, `rows` rows in all
     count_compact_rows(l)     the compact rows of a level, and those of them
                               that end in +m
     compact_count(keys, m)    the same for the rows of keys, decoded a block
@@ -84,6 +88,16 @@ _BLOCK_ROWS = 1 << 20
 _TUPLE_BLOCK_ROWS = 1 << 14
 # Rows per block when compact rows are counted from keys.
 _COUNT_ROWS = 1 << 16
+# The most rows that `unique_keys` sorts at once; a larger union merges
+# batches into its result.  Every union of pancake k <= 9 and reversal
+# k <= 5 is one sort (the largest, pancake D_9(8), has 1,642,772 rows).
+# A sort holds all its rows' keys, a merge little more than the result:
+# 2^21 and 2^22 gave the pancake k = 10 walk and the reversal n = 9, k = 5
+# ball the same time and peak RSS, and 2^21 kept the full reversal B_7
+# search 7 MB lower (2-core Xeon, Python 3.11, numpy 2.4).
+_SORT_KEYS = 1 << 21
+# Keys per block when `_distinct` moves the distinct keys forward.
+_DISTINCT_KEYS = 1 << 16
 
 # The key layout: 5 bits per entry, each entry x but the last stored as
 # x + _OFFSET.
@@ -175,13 +189,16 @@ def compact_mask(level: np.ndarray) -> np.ndarray:
     return ~(np.diff(level, axis=1) == 1).any(axis=1)
 
 
-def keys(level: np.ndarray) -> np.ndarray:
+def keys(level: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The key of every row of a level, or of a stack of same-length
     levels with the entries along its last axis, as one flat array, a
     stack level by level: 5 bits per entry, x + 16, and the last entry's
-    sign bit."""
-    out = np.zeros(level.shape[:-1], dtype=np.int64)
-    for j in range(level.shape[-1] - 1):
+    sign bit.  The keys are written into `out`, a flat contiguous `int64`
+    array of one key per row, when it is given, and that is returned."""
+    *lead, m = level.shape
+    out = np.empty(lead, dtype=np.int64) if out is None else out.reshape(lead)
+    out[...] = level[..., 0] + _OFFSET if m > 1 else 0
+    for j in range(1, m - 1):
         out <<= _BITS
         out |= level[..., j] + _OFFSET
     out <<= 1
@@ -226,59 +243,74 @@ def compact_count(keys: np.ndarray, m: int) -> tuple[int, int]:
     return compact, ends
 
 
-def unique_keys(parts: Iterable[np.ndarray]) -> np.ndarray:
+def unique_keys(parts: Iterable[np.ndarray], rows: int) -> np.ndarray:
     """
     The sorted distinct keys of the rows of levels of one length, at least
-    one part, where a part is a level or a stack of levels (see `keys`).
-    The parts' keys are gathered in a batch, and a batch is
-    sorted, deduplicated and merged into the result once it outgrows it,
-    so the temporaries stay within a few times the size of the result
-    however many rows the parts hold.  No part is held once its keys are
-    taken.  A union of no parts raises ValueError: it has no row length,
-    and a caller handed an empty level would go on as if the step that
-    made nothing had been right.
+    one part, where a part is a level or a stack of levels (see `keys`)
+    and the parts hold `rows` rows in all.  Each part's keys are written
+    straight into its slice of one buffer of `rows` keys, and no part is
+    held once its keys are written.  A union of at most `_SORT_KEYS` rows
+    is sorted once, in place, and deduplicated once.  Past that, the
+    buffer holds the sorted distinct result at its start and the batch
+    after it, and a batch is sorted and merged into the result in place
+    once it outgrows it, so the buffer's pages past the largest batch are
+    never touched.  The distinct keys are moved to the start of the
+    buffer, which then gives back its tail and is returned.  A union of
+    no parts raises ValueError: it has no row length, and a caller handed
+    an empty level would go on as if the step that made nothing had been
+    right.  Parts that hold more or fewer rows than `rows` raise
+    ValueError naming both counts.
     """
-    # the sorted, distinct result, then the batch
-    runs = [np.empty(0, dtype=np.int64)]
-    count = batched = 0
+    parts, buffer = iter(parts), np.empty(rows, dtype=np.int64)
+    count = written = result = filled = 0  # buffer[:result] is the result, buffer[result:filled] the batch
     for part in parts:
         count += 1  # not `enumerate`, whose result tuple holds the last part
-        runs.append(keys(part))
+        held = part.size // part.shape[-1]
+        written += held
+        if written > rows:
+            written += sum(rest.size // rest.shape[-1] for rest in parts)
+            raise ValueError(f"the parts of a union hold {written} rows, not {rows}")
+        keys(part, out=buffer[filled : filled + held])
         del part
-        batched += len(runs[-1])
-        if batched > len(runs[0]):
-            _merge(runs)
-            batched = 0
+        filled += held
+        if rows > _SORT_KEYS and filled - result > result:
+            result = filled = _sorted_distinct(buffer, result, filled)
     if not count:
         raise ValueError("a union of levels needs at least one part")
-    if len(runs) > 1:
-        _merge(runs)
-    return runs[0]
+    if written != rows:
+        raise ValueError(f"the parts of a union hold {written} rows, not {rows}")
+    # no view of the buffer is left, so it can shrink in place
+    buffer.resize(_sorted_distinct(buffer, result, filled), refcheck=False)
+    return buffer
 
 
-def _merge(runs: list[np.ndarray]) -> None:
-    """Merge the batch `runs[1:]` into the sorted, distinct result
-    `runs[0]`, leaving the new result as the one run.  The old result is
-    popped before the merged run is sorted, so no frame holds it then."""
-    new = np.concatenate(runs[1:])
-    del runs[1:]
-    new.sort()
-    new = _distinct(new)
-    merged = np.concatenate((runs.pop(), new))
-    del new
-    # two sorted runs, which the stable sort (timsort) merges in one pass
-    merged.sort(kind="stable")
-    runs.append(_distinct(merged))
+def _sorted_distinct(buffer: np.ndarray, result: int, filled: int) -> int:
+    """Sort `buffer[:filled]` in place, where `buffer[:result]` is sorted
+    and distinct and `buffer[result:filled]` is a batch, move its distinct
+    keys to the start of the buffer, and return how many there are."""
+    buffer[result:filled].sort()
+    merged = buffer[:filled]
+    if result:  # two sorted runs, which the stable sort (timsort) merges in one pass
+        merged.sort(kind="stable")
+    return len(_distinct(merged))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of sorted keys, in order."""
-    if len(keys) < 2:
-        return keys
-    keep = np.empty(len(keys), dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    """The distinct values of sorted keys, in order, moved to the start of
+    `keys` one block at a time, as a view of that start.  A block's kept
+    keys land at or before the block itself, so no later block is
+    touched."""
+    count, last = 0, None  # the keys kept so far, and the last key read
+    for start in range(0, len(keys), _DISTINCT_KEYS):
+        block = keys[start : start + _DISTINCT_KEYS]
+        keep = np.empty(len(block), dtype=bool)
+        keep[0] = last is None or block[0] != last
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        last = block[-1]
+        kept = block[keep]
+        keys[count : count + len(kept)] = kept
+        count += len(kept)
+    return keys[:count]
 
 
 def expand(level: np.ndarray) -> np.ndarray:
@@ -291,4 +323,4 @@ def expand(level: np.ndarray) -> np.ndarray:
         for i in range(level.shape[1])
         for start in range(0, len(level), _BLOCK_ROWS)
     )
-    return from_keys(unique_keys(deletions), level.shape[1] - 1)
+    return from_keys(unique_keys(deletions, level.size), level.shape[1] - 1)

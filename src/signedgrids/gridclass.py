@@ -6,12 +6,14 @@ The closure walks the union of downsets of arbitrary generators by
 repeated single-entry deletion.  Because deletion drops the length by
 exactly one, the global visited set splits into per-length levels and each
 permutation is expanded exactly once.  `_closure` is one generator that
-yields the levels longest first: level m is the union (`engine.unique_keys`)
-of the generators of length m and the single deletions of level m + 1, so
-it holds only two adjacent levels at a time, and `complete_and_compact`
-and `closure_histogram` are each one loop over it.  The distance classes
-do not come through here: `distance` grows their downsets move by move,
-which makes far fewer candidates than deleting each entry of each level.
+yields the levels longest first: level m is the union (`engine.unique_keys`,
+sized from the levels it joins) of the generators of length m and the
+single deletions of level m + 1 (`engine.expand`, whose union holds every
+row's deletions), so it holds only two adjacent levels at a time, and
+`complete_and_compact` and `closure_histogram` are each one loop over it.
+The distance classes do not come through here: `distance` grows their
+downsets move by move, which makes far fewer candidates than deleting
+each entry of each level.
 Each level is an `int8` array of the `engine` module, one row per
 permutation, so the deletions, their deduplication and the compactness
 scan run on whole levels in numpy; permutations are limited to
@@ -63,7 +65,9 @@ def _closure(perms: Iterable[SignedPerm]) -> Iterator[np.ndarray]:
     level = None
     for m in range(max(seeds, default=0), 0, -1):
         if m in seeds:
-            level = engine.from_keys(engine.unique_keys([seeds.pop(m)] if level is None else [level, seeds.pop(m)]), m)
+            parts = [seeds.pop(m)] if level is None else [level, seeds.pop(m)]
+            level = engine.from_keys(engine.unique_keys(parts, sum(map(len, parts))), m)
+            del parts
         yield level
         if m > 1:
             level = engine.expand(level)

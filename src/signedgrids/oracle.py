@@ -115,10 +115,9 @@ def ball(n: int, k: int, family: Family, n_ceiling: int | None = None) -> tuple[
     # rather than let it run on.
     while len(counts) <= k and sum(counts) <= total:
         rows = engine.from_keys(layer, n)
-        # Every move's images, one part per move: `unique_keys` merges a
-        # batch of them into its result once the batch outgrows it, which
-        # bounds the temporaries.
-        found = engine.unique_keys(rows[:, order] * sign for order, sign in moves)
+        # Every move's images, one part per move, keyed into the union's
+        # one buffer of len(layer) * len(moves) keys.
+        found = engine.unique_keys((rows[:, order] * sign for order, sign in moves), len(layer) * len(moves))
         del rows
         found = found[~(_members(found, layer) | _members(found, previous))]
         if not len(found):

@@ -116,6 +116,21 @@ def from_histogram(counts: Mapping[int, int]) -> Polynomial:
     return out
 
 
+def check_counting(p: Polynomial, name: str) -> None:
+    """
+    Raise ValueError, naming `name` and the check, unless p takes the
+    values a count of signed permutations of length n takes: an integer
+    at n = 1..deg + 1, each within 0..2^n n!.  Integer values at deg + 1
+    consecutive integers make an integer-valued polynomial.
+    """
+    for n in range(1, p.degree + 2):
+        value = p(n)
+        if value.denominator != 1:
+            raise ValueError(f"{name}: P({n}) = {value} is not an integer")
+        if not 0 <= value <= 2**n * factorial(n):
+            raise ValueError(f"{name}: P({n}) = {value} is outside 0..2^n n! = {2**n * factorial(n)}")
+
+
 def gregory_newton(values: Sequence[int | Fraction]) -> Polynomial:
     """
     Reconstruct an integer-valued polynomial from its values at n = 1..k.

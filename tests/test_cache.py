@@ -181,7 +181,7 @@ class TestPackedFiles:
         while len(members) < 500:
             values = rng.sample(range(1, 14), 13)
             members.add(tuple(v * rng.choice((1, -1)) for v in values))
-        level = engine.from_keys(engine.unique_keys([engine.rows(members, 13)]), 13)
+        level = engine.from_keys(engine.unique_keys([engine.rows(members, 13)], len(members)), 13)
         assert set(level.ravel().tolist()) == set(range(-13, 14)) - {0}
         path = tmp_path / "t.perms"
         cache.write_levels(path, [level])

@@ -84,6 +84,18 @@ class TestEnumerate:
         assert code == 0
         assert out == r"1 + \frac{1}{2} n + \frac{1}{2} n^{2}" + "\n"
 
+    @pytest.mark.parametrize("flags", [(), ("--verbose",), ("--format", "json"), ("--verbose", "--format", "latex")])
+    def test_union_that_keeps_repeats_refused(self, capsys, monkeypatch, flags):
+        # A union that skips deduplication counts every deletion of every
+        # row: the closure of 2 -1 3 -5 4 then has 120 rows of length 1 and
+        # P = [90, 293/12, 131/24, 1/12, 1/24], an integer at every n but
+        # past 2^n n! at n = 1.  Refused before anything is printed, the
+        # `--verbose` line included.
+        monkeypatch.setattr(engine, "_distinct", lambda keys: keys)
+        code, out, err = run(capsys, *flags, "enumerate", "--perm", "2 -1 3 -5 4")
+        assert (code, out) == (2, "")
+        assert err == "error: grid class: P(1) = 120 is outside 0..2^n n! = 2\n"
+
 
 class TestDistanceCommands:
     def test_pancake_two(self, capsys):
@@ -202,9 +214,8 @@ class TestDistanceCommands:
                 yield from split_moves(level, family, inside)
                 return
             for i in range(level.shape[1]):
-                once = engine.split_column(level, i)
-                for j in range(i + 2, once.shape[1]):
-                    yield from distance._reverse_segments(engine.split_column(once, j), [(i + 1, j + 1)])
+                for j in range(i + 2, level.shape[1] + 1):
+                    yield level, (i, j), [(i + 1, j + 1)]
 
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         monkeypatch.setattr(distance, "_split_moves", without_adjacent_halves)

@@ -211,7 +211,7 @@ def _pancake_without_the_full_flip(shortest):
         if inside or m < shortest:
             yield from _SPLIT_MOVES(level, family, inside)
         else:
-            yield from distance._reverse_segments(level, [(0, b) for b in range(m)])
+            yield level, (), [(0, b) for b in range(m)]
 
     return mutant
 
@@ -221,16 +221,16 @@ def _reversal_without_the_empty_segment(level, family, inside):
         yield from _SPLIT_MOVES(level, family, inside)
         return
     m = level.shape[1]
-    yield from distance._reverse_segments(level, [(a, b) for a in range(m) for b in range(a + 1, m + 1)])
+    yield level, (), [(a, b) for a in range(m) for b in range(a + 1, m + 1)]
 
 
 def _reversal_m1_without_its_last_right_cut(level, family, inside):
     if inside != 1:
         yield from _SPLIT_MOVES(level, family, inside)
         return
-    for j in range(level.shape[1]):
-        once = engine.split_column(level, j)
-        yield from distance._reverse_segments(once, [(min(b, j + 1), max(b, j + 1)) for b in range(once.shape[1])])
+    m = level.shape[1]
+    for j in range(m):
+        yield level, (j,), [(min(b, j + 1), max(b, j + 1)) for b in range(m + 1)]
 
 
 def _one_less(below, m, family):

@@ -216,10 +216,10 @@ class TestVerify:
         monkeypatch.setattr(oracle, "distance_classes", lambda family, ks, *_: [classes[k] for k in ks])
         unions, unique_keys = Counter(), engine.unique_keys
 
-        def counted(parts):
+        def counted(parts, rows):
             parts = list(parts)
             unions[parts[0].shape[1]] += 1
-            return unique_keys(parts)
+            return unique_keys(parts, rows)
 
         monkeypatch.setattr(engine, "unique_keys", counted)
         assert verify(Family.PANCAKE, k_max=3, n_max=7).all_match

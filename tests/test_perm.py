@@ -1,6 +1,7 @@
 """Pointwise operators on signed permutations."""
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -372,21 +373,35 @@ class TestArrayEngine:
         st.lists(st.lists(st.integers(0, 383), max_size=40), min_size=1, max_size=30),
         st.lists(st.integers(0, 383), min_size=1, max_size=10),
         st.integers(0, 30),
+        st.integers(0, 60),
+        st.integers(1, 9),
     )
-    def test_unique_keys_sorted_and_distinct(self, picks, few, at):
+    def test_unique_keys_sorted_and_distinct(self, picks, few, at, limit, block):
         level = engine.rows(self.LEVEL, 4)
-        union = engine.unique_keys([level[::-1], level[:100]])
+        union = engine.unique_keys([level[::-1], level[:100]], 484)
         assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
         # many parts drawn with repeats, empty ones among them, and one part
-        # of a few rows repeated, longer than the level, so the result is
-        # merged with batches of every size
+        # of a few rows repeated, longer than the level and than the limit
+        # on a single sort, which is set small so that batches of every
+        # size are merged into the result; the distinct keys are moved
+        # forward in small blocks, so runs of repeats cross their bounds
         picks.insert(at, few * len(level))
         parts = [level[pick] for pick in picks]
-        expected = sorted({self.LEVEL[i] for pick in picks for i in pick})
-        union = engine.unique_keys(iter(parts))
-        assert engine.to_tuples(engine.from_keys(union, 4)) == expected
         all_keys = engine.keys(np.concatenate(parts)).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_SORT_KEYS", limit)
+            patch.setattr(engine, "_DISTINCT_KEYS", block)
+            union = engine.unique_keys(iter(parts), len(all_keys))
         assert union.tolist() == sorted(set(all_keys))
+        expected = sorted({self.LEVEL[i] for pick in picks for i in pick})
+        assert engine.to_tuples(engine.from_keys(union, 4)) == expected
+
+    def test_union_refuses_a_wrong_row_count(self):
+        level = engine.rows(self.LEVEL, 4)
+        for rows in (0, 383, 385, 1000):
+            for parts in ([level], [level[:100], level[100:]], (level[i::7] for i in range(7))):
+                with pytest.raises(ValueError, match=f"^the parts of a union hold 384 rows, not {rows}$"):
+                    engine.unique_keys(parts, rows)
 
     def _stack(self):
         """Three copies of all of B_4 as a (3, 384, 4) stack laid out as a
@@ -406,8 +421,8 @@ class TestArrayEngine:
 
     def test_union_of_a_stacked_part_is_that_of_its_slabs(self):
         stack = self._stack()
-        union = engine.unique_keys([stack])
-        assert np.array_equal(union, engine.unique_keys(list(stack)))
+        union = engine.unique_keys([stack], 3 * len(self.LEVEL))
+        assert np.array_equal(union, engine.unique_keys(list(stack), 3 * len(self.LEVEL)))
         assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
 
     def test_zero_width_rows_are_empty_tuples(self):
@@ -457,8 +472,9 @@ class TestArrayEngine:
 
     def test_union_of_no_parts_rejected(self):
         for parts in ([], iter(())):
-            with pytest.raises(ValueError, match="at least one part"):
-                engine.unique_keys(parts)
+            for rows in (0, 1):
+                with pytest.raises(ValueError, match="at least one part"):
+                    engine.unique_keys(parts, rows)
 
     def test_union_lets_go_of_each_part(self):
         # Each part must be dead by the time the next one is made: counting
@@ -473,35 +489,40 @@ class TestArrayEngine:
             return part
 
         level = engine.rows(self.LEVEL, 4)
-        union = engine.unique_keys(made(level[i::5]) for i in range(5))
+        union = engine.unique_keys((made(level[i::5]) for i in range(5)), len(level))
         assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
         assert live == [0] * 5
 
     def test_merge_lets_go_of_the_old_result(self, monkeypatch):
-        # Each merge deduplicates its sorted batch, then the merged run.
-        # The old result is alive for the first, and must be gone by the
-        # second, so the stable sort just before it never holds the old
-        # result, the merged run and the sort's buffer at once.
-        results = []  # weak references to every run the distinct step returns
-        live = []  # how many of them are alive at each call
+        # Past the limit on a single sort, the result is the start of the
+        # union's buffer, and each batch is merged into it there.  When a
+        # merged run is deduplicated, just after its sorts, numpy holds
+        # the buffer beside what it held before the union, and nothing
+        # else: no copy of the old result, nor of a batch or a part's keys.
+        def numpy_bytes():
+            traces = tracemalloc.take_snapshot().filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+            return sum(stat.size for stat in traces.statistics("filename"))
+
+        held = []  # numpy's bytes past those held before the union, at each merge
         distinct = engine._distinct
 
         def recording(sorted_keys):
-            live.append(sum(ref() is not None for ref in results))
-            out = distinct(sorted_keys)
-            results.append(weakref.ref(out))
-            return out
+            held.append(numpy_bytes() - before)
+            return distinct(sorted_keys)
 
         monkeypatch.setattr(engine, "_distinct", recording)
+        monkeypatch.setattr(engine, "_SORT_KEYS", 0)
         level = engine.rows(self.LEVEL, 4)
-        parts = [level[i::5] for i in range(5)] * 2
-        assert engine.to_tuples(engine.from_keys(engine.unique_keys(parts), 4)) == self.LEVEL
-        merges = len(live) // 2
-        assert merges >= 3
-        # the first merge goes into the empty result, which is not a run
-        # the distinct step returned
-        assert live[0::2] == [0] + [1] * (merges - 1)
-        assert live[1::2] == [0] * merges
+        parts = (level[i::5] for _ in range(2) for i in range(5))  # views: they allocate nothing
+        tracemalloc.start()
+        try:
+            before = numpy_bytes()
+            union = engine.unique_keys(parts, 2 * len(level))
+        finally:
+            tracemalloc.stop()
+        assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
+        assert len(held) >= 3
+        assert held == [8 * 2 * len(level)] * len(held)
 
     def test_compact_count_a_block_at_a_time(self, monkeypatch):
         # all of B_4, counted in blocks of 7 keys, the last one partial
@@ -519,7 +540,7 @@ class TestArrayEngine:
         # 13 12 ... 1 has the largest key of length 13, close to 27**13
         low, top = tuple(range(-13, 0)), tuple(range(13, 0, -1))
         level = engine.rows([top, low, identity(13), top], 13)
-        assert engine.to_tuples(engine.from_keys(engine.unique_keys([level]), 13)) == [low, identity(13), top]
+        assert engine.to_tuples(engine.from_keys(engine.unique_keys([level], 4), 13)) == [low, identity(13), top]
 
     def test_length_limit(self):
         with pytest.raises(ValueError, match="limit of 13"):
