@@ -91,9 +91,11 @@ pancake k = 10, the leading coefficient) are deg + 1 conditions, so the
 gate fixes every class's polynomial, and with it the histogram.  A
 stored histogram that fails is refused naming the file, and only after
 its polynomial passes is a computed class in the range written:
-`pi_k.perms` (k >= 1), Pi_k grown again by `generator_set` as an export
-that is never read back, then `S_k.hist` last, so a stored histogram
-means both files are whole.  Every step acts on whole `engine` levels
+`pi_k.perms` (k >= 1), an export that is never read back, decoded from
+the keys of Pi_k that the walk kept for it, then `S_k.hist` last, so a
+stored histogram means both files are whole.  The walk keeps those keys
+only for the classes a store will get, so a request with no store holds
+nothing extra.  Every step acts on whole `engine` levels
 (int8 arrays, one row per permutation), so Pi_k is limited to
 `engine.MAX_LENGTH` (13) entries, and a longer Pi_k is refused before
 the first growth step.
@@ -107,7 +109,7 @@ from __future__ import annotations
 import enum
 from math import factorial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Collection, Iterator, Sequence
 
 from . import cache, gridclass, poly
 
@@ -326,14 +328,17 @@ def _generator_length(family: Family, k: int) -> int:
     return k + 1 if family is Family.PANCAKE else 2 * k + 1
 
 
-def _computed_histograms(family: Family, k: int) -> list[gridclass.LengthHistogram]:
+def _computed_histograms(
+    family: Family, k: int, keep: Collection[int] = ()
+) -> tuple[list[gridclass.LengthHistogram], dict[int, np.ndarray]]:
     """
-    The histograms of classes 0..k, from one walk: D_1, ..., D_k are built
-    in turn, each top-down from the one before (D_0 = {1}), and the compact
-    rows of every level are counted as it is built.  The levels of
-    D_1..D_{k-1} are decoded whole for the next step and counted from
-    their rows, and each level of D_{j-1} is dropped once the level of D_j
-    of its length is built; those of D_k, Pi_k first, are counted from
+    The histograms of classes 0..k, from one walk, and the sorted keys of
+    Pi_j, the top level of D_j, for each j in `keep` (j -> keys): D_1, ...,
+    D_k are built in turn, each top-down from the one before (D_0 = {1}),
+    and the compact rows of every level are counted as it is built.  The
+    levels of D_1..D_{k-1} are decoded whole for the next step and counted
+    from their rows, and each level of D_{j-1} is dropped once the level of
+    D_j of its length is built; those of D_k, Pi_k first, are counted from
     their keys a block of rows at a time, so no level of D_k is decoded
     whole.  No file is touched.  A Pi_k longer than the engine's
     limit raises ValueError before the first growth step.  Two facts that
@@ -348,7 +353,7 @@ def _computed_histograms(family: Family, k: int) -> list[gridclass.LengthHistogr
     from . import engine
 
     engine.check_length(_generator_length(family, k))
-    hists, below = [gridclass.LengthHistogram({1: 1}, True)], {1: engine.rows([(1,)], 1)}
+    hists, below, tops = [gridclass.LengthHistogram({1: 1}, True)], {1: engine.rows([(1,)], 1)}, {}
     for j in range(1, k + 1):
         counts, ends, built = {0: 1}, {0: 0}, {}  # the empty permutation, which ends in no +0
         for m in range(max(below) + _MAX_INSIDE[family], 0, -1):
@@ -357,8 +362,11 @@ def _computed_histograms(family: Family, k: int) -> list[gridclass.LengthHistogr
             if j < k:  # decoded whole for the next step, so counted from its rows
                 built[m] = engine.from_keys(keys, m)
             counts[m], ends[m] = engine.count_compact_rows(built[m]) if j < k else engine.compact_count(keys, m)
-            if len(counts) == 2 and counts[m] != len(keys):  # Pi_j
-                raise AssertionError(f"{family.value} k={j}: Pi_{j} has {len(keys)} members, {counts[m]} of them compact")
+            if len(counts) == 2:  # Pi_j
+                if counts[m] != len(keys):
+                    raise AssertionError(f"{family.value} k={j}: Pi_{j} has {len(keys)} members, {counts[m]} of them compact")
+                if j in keep:
+                    tops[j] = keys
             del keys  # before the next level is built
         below, length = built, _generator_length(family, j)
         ends[length + 1] = 0  # a longer level is the degree check's to refuse
@@ -367,7 +375,7 @@ def _computed_histograms(family: Family, k: int) -> list[gridclass.LengthHistogr
             if end != want:
                 raise AssertionError(f"{family.value} k={j}: {end} compact members of length {m} end in +{m}, not {want}")
         hists.append(gridclass.LengthHistogram({m: count for m, count in counts.items() if m and count}, True))
-    return hists
+    return hists, tops
 
 
 def distance_classes(
@@ -386,19 +394,21 @@ def distance_classes(
     10, reversal 5) before any work starts; pass `k_ceiling` to raise or
     lower the guard.  Each histogram is read from the store, and those not
     stored come from one walk to the highest of them
-    (`_computed_histograms`).  Either kind passes the same gate, class by
-    class: `check_polynomial`, then the empty permutation with P(0) = 1
-    (see the module docstring), then `check_counts`.  A stored histogram
-    that fails raises ValueError naming the file.  Only a computed class
-    in `ks` that passes is written to the store: Pi_k, grown again, as
-    `pi_k.perms` (k >= 1), an export the program never reads back, and
-    then `S_k.hist`, last.
+    (`_computed_histograms`), which also keeps the keys of each Pi_k that
+    the store will get.  Either kind passes the same gate, class by class:
+    `check_polynomial`, then the empty permutation with P(0) = 1 (see the
+    module docstring), then `check_counts`.  A stored histogram that fails
+    raises ValueError naming the file.  Only a computed class in `ks` that
+    passes is written to the store: Pi_k, decoded from the keys the walk
+    kept, as `pi_k.perms` (k >= 1), an export the program never reads
+    back, and then `S_k.hist`, last.
     """
     for k in ks:
         check_k(family, k, k_ceiling)
     paths = {k: None if cache_dir is None else cache.hist_path(cache_dir, family, k) for k in ks}
     missing = [k for k, path in paths.items() if path is None or not path.exists()]
-    computed = _computed_histograms(family, max(missing)) if missing else []
+    exports = {k for k in missing if k and paths[k] is not None}  # the Pi_k a store gets
+    computed, tops = _computed_histograms(family, max(missing), exports) if missing else ([], {})
     classes = []
     for k, path in paths.items():
         stored = k not in missing
@@ -413,7 +423,9 @@ def distance_classes(
             raise ValueError(f"{path}: {exc}; clear the store") if stored else exc
         if path is not None and not stored:
             if k:
-                cache.write_levels(cache.pi_path(cache_dir, family, k), [generator_set(family, k)])
+                from . import engine
+
+                cache.write_levels(cache.pi_path(cache_dir, family, k), [engine.from_keys(tops.pop(k), _generator_length(family, k))])
             cache.write_histogram(path, hist)
         classes.append((hist, p))
     return classes

@@ -64,16 +64,35 @@ caller, and finds every new tuple free of cycles.
 
 numpy is imported at the top of this module alone; `distance`,
 `gridclass`, `oracle` and `cache` import this module only inside the
-functions that grow, close, search or write a set.  A query answered from
-the store loads `cli`, `distance`, `gridclass`, `cache` and `poly` alone:
-not this module, numpy, `perm` or `oracle`.
+functions that grow, close, search or write a set, and reach numpy only
+once it is loaded.  A query answered from the store loads `cli`,
+`distance`, `gridclass`, `cache` and `poly` alone: not this module, numpy,
+`perm` or `oracle`.
+
+Loading numpy loads OpenBLAS, which starts a worker thread per core that
+spins for about 0.13 s of CPU although nothing here calls BLAS.  So numpy
+is imported with `OPENBLAS_NUM_THREADS=1` unless the caller has set that
+variable, and os.environ is put back exactly as it was once the import is
+done: the process keeps one thread, and neither the caller nor a child
+process sees the setting.  A caller that imports numpy first, or sets the
+variable, keeps the pool it asked for.
 """
 from __future__ import annotations
 
 import gc
+import os
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+# numpy with no OpenBLAS worker threads, os.environ left as it was (see the
+# module docstring).
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+_caller_set_blas = _BLAS_THREADS in os.environ
+os.environ.setdefault(_BLAS_THREADS, "1")
+try:
+    import numpy as np
+finally:
+    if not _caller_set_blas:
+        del os.environ[_BLAS_THREADS]
 
 if TYPE_CHECKING:  # a tuple of ints; `perm` is loaded where one is parsed or printed
     from .perm import SignedPerm

@@ -99,9 +99,9 @@ def ball(n: int, k: int, family: Family, n_ceiling: int | None = None) -> tuple[
     if k < 0:
         raise ValueError("k must be nonnegative")
     check_n(n, n_ceiling)
-    import numpy as np
+    from . import engine  # before numpy, which it loads with no BLAS threads
 
-    from . import engine
+    import numpy as np
 
     moves = [(np.array(order), np.array(sign, dtype=np.int8)) for order, sign in _moves(n, family)]
     # Every move is an involution, so the images of layer d lie in layers

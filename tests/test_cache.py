@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from signedgrids import cache, engine
+from signedgrids import cache, distance, engine
 from signedgrids.cli import main
 from signedgrids.distance import Family, generator_set
 from signedgrids.gridclass import LengthHistogram
@@ -115,17 +115,30 @@ COLD_DIGESTS = {
 }
 
 
-def test_cold_written_bytes_are_pinned(tmp_path, capsys):
+def _digests(store):
+    return {f.relative_to(store).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest() for f in store.rglob("*") if f.is_file()}
+
+
+def test_cold_written_bytes_are_pinned(tmp_path):
     for family, k_max in (("pancake", 5), ("reversal", 4)):
         for k in range(k_max + 1):
             assert main(["--cache-dir", str(tmp_path), family, "--k", str(k)]) == 0
-    capsys.readouterr()
-    written = {
-        f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in tmp_path.rglob("*")
-        if f.is_file()
-    }
-    assert written == COLD_DIGESTS
+    assert _digests(tmp_path) == COLD_DIGESTS
+
+
+def test_cold_export_grows_no_generator_set(tmp_path, monkeypatch):
+    # the walk keeps the keys of each Pi_k that the store gets, so a cold
+    # write, `--exact` included, never grows Pi_k a second time
+    def no_growth(family, k):
+        raise AssertionError(f"Pi_{k} grown again")
+
+    monkeypatch.setattr(distance, "generator_set", no_growth)
+    test_cold_written_bytes_are_pinned(tmp_path / "cold")
+    for family, k in (("pancake", 5), ("reversal", 4)):
+        store = tmp_path / f"exact-{family}"
+        assert main(["--cache-dir", str(store), family, "--k", str(k), "--exact"]) == 0
+        names = [f"{family}/{name}" for name in (f"pi_{k - 1}.perms", f"pi_{k}.perms", f"S_{k - 1}.hist", f"S_{k}.hist")]
+        assert _digests(store) == {name: COLD_DIGESTS[name] for name in names}
 
 
 @pytest.mark.parametrize(

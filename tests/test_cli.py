@@ -378,7 +378,7 @@ class TestCache:
         # count positive and the top length right, so only the polynomial's
         # leading coefficient shows the loss
         less_one = LengthHistogram({1: 2, 2: 5, 3: 10, 4: 5}, True)
-        monkeypatch.setattr(distance, "_computed_histograms", lambda family, k: [less_one] * (k + 1))
+        monkeypatch.setattr(distance, "_computed_histograms", lambda family, k, keep: ([less_one] * (k + 1), {}))
         for _ in range(2):
             code, out, err = run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "3")
             assert (code, out) == (2, "")

@@ -108,12 +108,12 @@ class TestGeneratorCheck:
         # are those of D_{j-1} no longer than m and, except on the last
         # step, the longer levels of D_j itself: D_{j-1}(m) is dropped once
         # D_j(m) is built, D_{j-1} once D_j is whole, and the last step
-        # keeps no level it has yielded.  Every level of every class is
-        # counted once: those of D_1..D_{k-1} from their rows, decoded
-        # whole once each, and those of D_k, Pi_k included, from their
-        # keys in blocks of at most `block` rows, none decoded whole.  Only
-        # once the walk is over does a store get Pi_k, grown again by
-        # `generator_set`.
+        # keeps no level it has yielded but, when a store will get it, the
+        # keys of Pi_k.  Every level of every class is counted once: those
+        # of D_1..D_{k-1} from their rows, decoded whole once each, and
+        # those of D_k, Pi_k included, from their keys in blocks of at most
+        # `block` rows, none decoded whole.  Once the walk is over, a store
+        # gets Pi_k decoded from the keys it kept, with no growth step.
         k, block = 3, 8
         refs = {}  # (j, m) -> weak references to D_j(m), as keys and as rows
         built = []  # (j, m), from D_0(1), the base, made before any step
@@ -139,7 +139,8 @@ class TestGeneratorCheck:
             j = built[-1][0] + (m > built[-1][1])
             older = {(j - 1, shorter) for shorter in range(1, m + 1)}
             longer = {(j, m2) for m2 in range(m + 1, 2 * j + 2)} if j < k else set()
-            assert alive() <= older | longer, f"D_{j}({m})"
+            kept = {(k, 2 * k + 1)} if j == k and store is not None else set()
+            assert alive() <= older | longer | kept, f"D_{j}({m})"
             built.append((j, m))
             return record(level_of(below, m, family))
 
@@ -167,9 +168,12 @@ class TestGeneratorCheck:
             return from_keys(keys, m)
 
         def recording_walk(*args):
-            hists = walk(*args)
+            hists, tops = walk(*args)
             built.append(None)  # the walk is over
-            return hists
+            # Pi_k's keys, and nothing else, outlive the walk for a store
+            assert list(tops) == ([] if store is None else [k])
+            assert alive() == ({(k, 2 * k + 1)} if store is not None else set())
+            return hists, tops
 
         monkeypatch.setattr(distance, "_downset_level", recording_level)
         monkeypatch.setattr(distance, "_computed_histograms", recording_walk)
@@ -193,10 +197,9 @@ class TestGeneratorCheck:
             assert {(j, m) for j, m, _ in blocks} == {(k, m) for m in range(1, 2 * k + 2)}
             assert [n for _, _, n in blocks if n > block] == []
             assert max(hist.counts.values()) > block
-            # after the walk, a store's export takes the k top-level steps
-            # of `generator_set` and decodes each top level once, Pi_k last
-            tops = [("step", 3), ("decode", 3, 1), ("step", 5), ("decode", 5, 4), ("step", 7), ("decode", 7, 35)]
-            assert after == ([] if store is None else tops)
+            # after the walk, a store's export decodes Pi_k once from the
+            # keys the walk kept, and grows nothing
+            assert after == ([] if store is None else [("decode", 7, 35)])
 
 
 _SPLIT_MOVES, _DOWNSET_LEVEL = distance._split_moves, distance._downset_level

@@ -168,3 +168,50 @@ def test_oracle_keeps_its_own_moves():
     # a renamed or deleted name would leave the guard checking nothing
     defined = (package / "distance.py").read_text() + (package / "engine.py").read_text()
     assert [name for name in names if not re.search(rf"^def {name}\(", defined, re.M)] == []
+
+
+# Each entry point that loads numpy, run cold in a fresh interpreter with a
+# scratch directory as argv[1].
+NUMPY_ENTRY_POINTS = {
+    "distance_classes": "from signedgrids.distance import Family, distance_classes\n"
+    "distance_classes(Family.PANCAKE, range(3, 5), cache_dir=Path(sys.argv[1]))",
+    "generator_set": "from signedgrids.distance import Family, generator_set\ngenerator_set(Family.REVERSAL, 3)",
+    "ball": "from signedgrids.distance import Family\nfrom signedgrids.oracle import ball\nball(5, 3, Family.PANCAKE)",
+    "closure_histogram": "from signedgrids.gridclass import closure_histogram\nclosure_histogram([(2, -1, 3)])",
+    "write_permset": "from signedgrids.cache import write_permset\n"
+    "write_permset(Path(sys.argv[1]) / 'p.perms', frozenset({(2, -1, 3)}))",
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize(
+    "entry,caller",
+    [*((entry, None) for entry in NUMPY_ENTRY_POINTS), ("distance_classes", "2")],
+    ids=str,
+)
+def test_numpy_starts_no_blas_threads(tmp_path, entry, caller):
+    # OpenBLAS would start a worker per core that spins for ~0.13 s of CPU
+    # although nothing calls BLAS; `engine` imports numpy with one thread,
+    # and neither os.environ nor the C environment a child inherits keeps
+    # the setting.  A caller's own OPENBLAS_NUM_THREADS is left as it was.
+    code = (
+        "import ctypes, os, re, sys\n"
+        "from pathlib import Path\n"
+        "before = dict(os.environ)\n"
+        f"{NUMPY_ENTRY_POINTS[entry]}\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert dict(os.environ) == before\n"
+        "libc = ctypes.CDLL(None)\n"
+        "libc.getenv.restype = ctypes.c_char_p\n"
+        "print(re.search(r'^Threads:\\s+(\\d+)$', open('/proc/self/status').read(), re.M)[1], libc.getenv(b'OPENBLAS_NUM_THREADS'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    threads, seen = done.stdout.split()
+    assert seen == repr(None if caller is None else caller.encode())
+    if caller is None:
+        assert threads == "1"

@@ -1,6 +1,10 @@
 """Exact rational polynomial arithmetic and the binomial-basis machinery."""
 from fractions import Fraction
 
+import itertools
+import re
+from math import factorial
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -9,6 +13,7 @@ from signedgrids.poly import (
     ZERO,
     Polynomial,
     binomial_basis_poly,
+    check_counting,
     choose_poly,
     format_coeff_array,
     format_latex,
@@ -133,6 +138,52 @@ class TestGregoryNewton:
         k = max(p.degree, 1)
         values = [p(j) for j in range(1, k + 1)]
         assert gregory_newton(values) == p
+
+
+def _through(values):
+    """The polynomial of degree below len(values) with P(n) = values[n - 1]
+    for n = 1..len(values), by Lagrange interpolation."""
+    total = ZERO
+    for i, value in enumerate(values, 1):
+        term = P(value)
+        for j in range(1, len(values) + 1):
+            if j != i:
+                term = (term * P(-j, 1)).scale(Fraction(1, i - j))
+        total = total + term
+    return total
+
+
+class TestCheckCounting:
+    # p(n) must be an integer within 0..2^n n! at n = 1..deg + 1
+
+    @pytest.mark.parametrize("degree", range(4))
+    def test_bounds_accepted(self, degree):
+        ns = range(1, degree + 2)
+        for ends in itertools.product((0, 1), repeat=degree + 1):
+            values = [end * 2**n * factorial(n) for n, end in zip(ns, ends)]
+            p = _through(values)
+            assert [p(n) for n in ns] == values
+            check_counting(p, "grid class")
+
+    def test_zero_polynomial_passes(self):
+        check_counting(ZERO, "grid class")
+
+    @pytest.mark.parametrize("degree", range(4))
+    @pytest.mark.parametrize("bad", ["-1", "2^n n! + 1", "1/2"])
+    def test_value_refused_naming_label_and_n(self, degree, bad):
+        # every other value is 1, so p has this degree and n is the first
+        # value out of place
+        for n in range(1, degree + 2):
+            top = 2**n * factorial(n)
+            value = {"-1": -1, "2^n n! + 1": top + 1, "1/2": Fraction(1, 2)}[bad]
+            p = _through([value if m == n else 1 for m in range(1, degree + 2)])
+            assert p.degree == degree
+            if bad == "1/2":
+                message = f"pancake k=3: P({n}) = 1/2 is not an integer"
+            else:
+                message = f"pancake k=3: P({n}) = {value} is outside 0..2^n n! = {top}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_counting(p, "pancake k=3")
 
 
 class TestChoosePoly:
