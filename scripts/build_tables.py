@@ -15,8 +15,8 @@ on a 2-core Xeon).  With --cache-dir the histograms are read from that
 store when present.  Every class, read or computed, passes one gate,
 `check_polynomial`, then P(0) = 1, then `check_counts`, and a computed
 class is written to the store only after it passes: its generator set
-Pi_k, grown again, as `pi_k.perms`, a file that is never read back, and
-then its histogram as `S_k.hist`, last.
+Pi_k, decoded from the keys of it that the walk kept, as `pi_k.perms`, a
+file that is never read back, and then its histogram as `S_k.hist`, last.
 
 Usage:
     python scripts/build_tables.py [--stretch] [--cache-dir DIR]

@@ -232,25 +232,23 @@ def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[Pla
     are split, and the segment between two cuts is reversed and negated,
     where exactly `inside` of the cuts sit between the halves of a split
     entry and the rest fall between entries (empty segments included).
-    For pancakes the left cut is pinned at position 0.
+    The plans are those of block reversals; for pancakes they keep only
+    the segments whose left cut is pinned at position 0, and a plan left
+    with none is dropped.
     """
-    m, pinned = level.shape[1], family is Family.PANCAKE
-    if inside == 0:
-        if pinned:
-            ends = [(0, b) for b in range(m + 1)]
-        else:  # one empty segment, (0, 0), stands for them all
-            ends = [(0, 0)] + [(a, b) for a in range(m) for b in range(a + 1, m + 1)]
-        yield level, (), ends
-    elif inside == 1:
-        for j in range(m):
-            t = j + 1  # the cut between the halves of entry j
-            yield level, (j,), [(0, t)] if pinned else [(min(b, t), max(b, t)) for b in range(m + 2)]
+    m = level.shape[1]
+    if inside == 0:  # one empty segment, (0, 0), stands for them all
+        plans = [((), [(0, 0)] + [(a, b) for a in range(m) for b in range(a + 1, m + 1)])]
+    elif inside == 1:  # j + 1 is the cut between the halves of entry j
+        plans = [((j,), [(min(b, j + 1), max(b, j + 1)) for b in range(m + 2)]) for j in range(m)]
     else:
         # j == i + 1 is the second half of entry i, so splitting it again
         # gives a block of three.
-        for i in range(m):
-            for j in range(i + 1, m + 1):
-                yield level, (i, j), [(i + 1, j + 1)]
+        plans = [((i, j), [(i + 1, j + 1)]) for i in range(m) for j in range(i + 1, m + 1)]
+    for columns, segments in plans:
+        segments = [(a, b) for a, b in segments if a == 0 or family is Family.REVERSAL]
+        if segments:
+            yield level, columns, segments
 
 
 def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.ndarray:
@@ -487,21 +485,20 @@ def check_counts(family: Family, k: int, p: poly.Polynomial) -> None:
 # for any inflation of it: each move's positions are translated through the
 # running block-size vector, and the move is then applied to the vector
 # itself.  Moves are 1-based flip positions for the pancake family and
-# 1-based (i, j) pairs for the reversal family; a move whose translated span
-# is empty (all relevant block sizes zero) is a no-op, encoded as position 0
-# or as a pair (x, x-1).
+# 1-based (i, j) pairs for the reversal family; either is read as the span
+# (i, j) it reverses, flip i as (1, i), and a pancake move is given back as
+# its span's right end.  A move whose translated span is empty (all
+# relevant block sizes zero) is a no-op, encoded as position 0 or as a pair
+# (x, x-1).
 
 Move = int | tuple[int, int]
 
 
 def apply_move(pi: SignedPerm, family: Family, move: Move) -> SignedPerm:
     """Apply one generator (or a degenerate no-op move) to pi."""
-    from .perm import block_reversal, prefix_reversal
+    from .perm import block_reversal
 
-    if family is Family.PANCAKE:
-        assert isinstance(move, int)
-        return pi if move == 0 else prefix_reversal(pi, move)
-    i, j = move  # type: ignore[misc]
+    i, j = (1, move) if family is Family.PANCAKE else move  # type: ignore[misc]
     return pi if j < i else block_reversal(pi, i, j)
 
 
@@ -515,6 +512,9 @@ def sorting_sequence(
     """
     Translate a sorting sequence of pi into one for sigma = pi inflated by
     `sizes`.  The returned sequence has the same length and sorts sigma.
+    Each move must apply to the permutation it meets, a flip i with
+    1 <= i <= length and a pair (i, j) with 1 <= i <= j <= length, and
+    the moves must sort pi; otherwise ValueError is raised.
     """
     from .perm import identity, inflate
 
@@ -524,17 +524,12 @@ def sorting_sequence(
     vec = list(sizes)
     out: list[Move] = []
     for move in moves:
-        if family is Family.PANCAKE:
-            if not isinstance(move, int) or not 1 <= move <= len(current):
-                raise ValueError(f"move {move!r} does not apply to a permutation of length {len(current)}")
-            out.append(sum(vec[:move]))
-            vec[:move] = vec[:move][::-1]
-        else:
-            i, j = move  # type: ignore[misc]
-            if not 1 <= i <= j <= len(current):
-                raise ValueError(f"move {move!r} does not apply to a permutation of length {len(current)}")
-            out.append((sum(vec[: i - 1]) + 1, sum(vec[:j])))
-            vec[i - 1 : j] = vec[i - 1 : j][::-1]
+        i, j = (1, move) if family is Family.PANCAKE else move  # type: ignore[misc]
+        if not (isinstance(j, int) and 1 <= i <= j <= len(current)):  # a pair given as a flip leaves j a pair
+            raise ValueError(f"move {move!r} does not apply to a permutation of length {len(current)}")
+        span = sum(vec[: i - 1]) + 1, sum(vec[:j])
+        out.append(span[1] if family is Family.PANCAKE else span)
+        vec[i - 1 : j] = vec[i - 1 : j][::-1]
         current = apply_move(current, family, move)
     if current != identity(len(pi)):
         raise ValueError("the given moves do not sort pi")

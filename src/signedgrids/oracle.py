@@ -201,22 +201,8 @@ class VerifyReport(NamedTuple):
     def to_json(self) -> str:
         import json
 
-        return json.dumps(
-            {
-                "family": self.family.value,
-                "rows": [
-                    {
-                        "n": r.n,
-                        "k": r.k,
-                        "polynomial_value": r.polynomial_value,
-                        "bfs_count": r.bfs_count,
-                        "match": r.match,
-                    }
-                    for r in self.rows
-                ],
-                "all_match": self.all_match,
-            }
-        )
+        rows = [{**r._asdict(), "match": r.match} for r in self.rows]
+        return json.dumps({"family": self.family.value, "rows": rows, "all_match": self.all_match})
 
 
 def verify(

@@ -449,6 +449,17 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["all_match"] is True
 
+    def test_json_bytes(self, capsys):
+        # the exact bytes, so that a change of key order or spacing shows
+        counts = {1: (1, 2, 2), 2: (1, 4, 7), 3: (1, 7, 23), 4: (1, 11, 61)}
+        rows = ", ".join(
+            f'{{"n": {n}, "k": {k}, "polynomial_value": {c}, "bfs_count": {c}, "match": true}}'
+            for n, by_k in counts.items()
+            for k, c in enumerate(by_k)
+        )
+        code, out, err = run(capsys, "--format", "json", "verify", "--family", "reversal", "--k-max", "2", "--n-max", "4")
+        assert (code, out, err) == (0, f'{{"family": "reversal", "rows": [{rows}], "all_match": true}}\n', "")
+
 
 class TestDownsetAndCompactify:
     def test_downset_worked_example(self, capsys):

@@ -81,10 +81,12 @@ class TestGeneratorCheck:
     def test_extra_member_rejected_before_store(self, tmp_path, monkeypatch, extra, error, check):
         # The mutant step adds `extra` to the level of its length.  The rows
         # of a level share one length, so a longer member needs a longer top
-        # level: for it, a pancake flip may also cut inside two split entries.
-        # Only the walk sees that a member of Pi_k is not compact; a top
-        # length past the generator length is the polynomial gate's degree.
-        level_of = distance._downset_level
+        # level: for it, a pancake step also takes reversal M_2, whose cuts
+        # both sit inside split entries (pancake M_2 pins its left cut, so
+        # it has no plan).  Only the walk sees that a member of Pi_k is not
+        # compact; a top length past the generator length is the polynomial
+        # gate's degree.
+        level_of, split_moves = distance._downset_level, distance._split_moves
         tops = []
 
         def one_more(below, m, family):
@@ -94,7 +96,11 @@ class TestGeneratorCheck:
                 keys = engine.keys(engine.rows(tops[-1], m))
             return keys
 
+        def with_reversal_m2(level, family, inside):
+            return split_moves(level, Family.REVERSAL if inside == 2 else family, inside)
+
         monkeypatch.setattr(distance, "_downset_level", one_more)
+        monkeypatch.setattr(distance, "_split_moves", with_reversal_m2)
         monkeypatch.setitem(distance._MAX_INSIDE, Family.PANCAKE, len(extra) - 1)
         with pytest.raises(error, match=check):
             distance_classes(Family.PANCAKE, range(1, 2), cache_dir=tmp_path)
@@ -478,6 +484,17 @@ class TestSortingSequence:
     def test_rejects_nonsorting_moves(self):
         with pytest.raises(ValueError, match="do not sort"):
             sorting_sequence((1, 2), Family.PANCAKE, (1, 2), (1, 1), [1])
+
+    @pytest.mark.parametrize(
+        "family,move",
+        [(Family.PANCAKE, 0), (Family.PANCAKE, 4), (Family.PANCAKE, (1, 2)), (Family.REVERSAL, (2, 1)), (Family.REVERSAL, (1, 4))],
+        ids=["flip-0", "flip-past-the-end", "pancake-pair", "reversal-backwards", "reversal-past-the-end"],
+    )
+    def test_rejects_moves_that_do_not_apply(self, family, move):
+        # a move of pi, of length 3, after one move that applies
+        first = 1 if family is Family.PANCAKE else (1, 1)
+        with pytest.raises(ValueError, match=r"^move .* does not apply to a permutation of length 3$"):
+            sorting_sequence((2, 3, -1, 4), family, (2, -1, 3), (2, 1, 1), [first, move])
 
     @given(signed_perms(min_len=1, max_len=4), st.data())
     @settings(max_examples=30)
