@@ -194,10 +194,9 @@ _MAX_INSIDE = {Family.PANCAKE: 1, Family.REVERSAL: 2}
 # whole; `_downset_level` hands the gathers to `engine.unique_keys`, which
 # keys each in one pass per column into its slice of the union's buffer.  A
 # gather stays alive until the next one is yielded, through any merge of a
-# batch in between.  At pancake k = 10, 2^19 rows took the least wall time
-# and RSS when each gather was keyed into an array of its own (2-core Xeon,
-# Python 3.11, numpy 2.4): 2^20 had a 2% lower tracemalloc peak but 14% more
-# RSS, and 2^18 was higher on both.
+# batch in between.  In the pancake k = 10 walk, 2^18 and 2^19 rows gave
+# the same time and peak RSS (5.3 s, 195 MB), and 2^20 was 2 MB lower and
+# 4% slower (medians of 5 runs, 2-core Xeon, Python 3.11, numpy 2.4).
 _PART_ROWS = 1 << 19
 
 

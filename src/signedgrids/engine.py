@@ -30,11 +30,11 @@ times as long on ten million keys.  `unique_keys` is the engine's only
 union, and a caller that needs rows decodes its keys with the length it
 already has, as `expand` and the closure do.  Its caller says how many
 rows the parts hold, counted from the same lists the parts come from, so
-every part's keys are written straight into one buffer and sorted once
-(see `unique_keys`).  The codec is public for them, for the BFS oracle,
-which keeps its layers as sorted keys, and for `distance`, which counts
-the compact rows of every downset level, those of the last class from
-their keys:
+every part's keys are written straight into one buffer, and each step of
+the union is one in-place sort of it (see `unique_keys`).  The codec is
+public for them, for the BFS oracle, which keeps its layers as sorted
+keys, and for `distance`, which counts the compact rows of every downset
+level, those of the last class from their keys:
 
     keys(level, out)          the key of every row of a level, or of a
                               stack of levels, as one flat array, written
@@ -110,10 +110,11 @@ _COUNT_ROWS = 1 << 16
 # The most rows that `unique_keys` sorts at once; a larger union merges
 # batches into its result.  Every union of pancake k <= 9 and reversal
 # k <= 5 is one sort (the largest, pancake D_9(8), has 1,642,772 rows).
-# A sort holds all its rows' keys, a merge little more than the result:
-# 2^21 and 2^22 gave the pancake k = 10 walk and the reversal n = 9, k = 5
-# ball the same time and peak RSS, and 2^21 kept the full reversal B_7
-# search 7 MB lower (2-core Xeon, Python 3.11, numpy 2.4).
+# A single sort holds all its rows' keys, a merge the result and a batch
+# not much larger: 2^21 and 2^22 gave the pancake k = 10 walk the same
+# peak RSS (195 MB) and 5.4 and 5.1 s, and 2^21 kept the full reversal
+# B_7 search 11 MB lower, at 56 MB against 67 (medians of 5 runs, 2-core
+# Xeon, Python 3.11, numpy 2.4).
 _SORT_KEYS = 1 << 21
 # Keys per block when `_distinct` moves the distinct keys forward.
 _DISTINCT_KEYS = 1 << 16
@@ -269,16 +270,18 @@ def unique_keys(parts: Iterable[np.ndarray], rows: int) -> np.ndarray:
     and the parts hold `rows` rows in all.  Each part's keys are written
     straight into its slice of one buffer of `rows` keys, and no part is
     held once its keys are written.  A union of at most `_SORT_KEYS` rows
-    is sorted once, in place, and deduplicated once.  Past that, the
-    buffer holds the sorted distinct result at its start and the batch
-    after it, and a batch is sorted and merged into the result in place
-    once it outgrows it, so the buffer's pages past the largest batch are
-    never touched.  The distinct keys are moved to the start of the
-    buffer, which then gives back its tail and is returned.  A union of
-    no parts raises ValueError: it has no row length, and a caller handed
-    an empty level would go on as if the step that made nothing had been
-    right.  Parts that hold more or fewer rows than `rows` raise
-    ValueError naming both counts.
+    is sorted once and deduplicated once.  Past that, the buffer holds the
+    sorted distinct result at its start and the batch after it, and once
+    the batch outgrows the result the two are sorted together and
+    deduplicated, so the buffer's pages past the largest batch are never
+    touched.  Each step is one in-place sort with numpy's default sort,
+    which allocates no work buffer; a stable merge of the two runs would
+    allocate one of up to half their keys.  The distinct keys are moved to
+    the start of the buffer, which then gives back its tail and is
+    returned.  A union of no parts raises ValueError: it has no row
+    length, and a caller handed an empty level would go on as if the step
+    that made nothing had been right.  Parts that hold more or fewer rows
+    than `rows` raise ValueError naming both counts.
     """
     parts, buffer = iter(parts), np.empty(rows, dtype=np.int64)
     count = written = result = filled = 0  # buffer[:result] is the result, buffer[result:filled] the batch
@@ -293,25 +296,21 @@ def unique_keys(parts: Iterable[np.ndarray], rows: int) -> np.ndarray:
         del part
         filled += held
         if rows > _SORT_KEYS and filled - result > result:
-            result = filled = _sorted_distinct(buffer, result, filled)
+            result = filled = _sorted_distinct(buffer[:filled])
     if not count:
         raise ValueError("a union of levels needs at least one part")
     if written != rows:
         raise ValueError(f"the parts of a union hold {written} rows, not {rows}")
     # no view of the buffer is left, so it can shrink in place
-    buffer.resize(_sorted_distinct(buffer, result, filled), refcheck=False)
+    buffer.resize(_sorted_distinct(buffer[:filled]), refcheck=False)
     return buffer
 
 
-def _sorted_distinct(buffer: np.ndarray, result: int, filled: int) -> int:
-    """Sort `buffer[:filled]` in place, where `buffer[:result]` is sorted
-    and distinct and `buffer[result:filled]` is a batch, move its distinct
-    keys to the start of the buffer, and return how many there are."""
-    buffer[result:filled].sort()
-    merged = buffer[:filled]
-    if result:  # two sorted runs, which the stable sort (timsort) merges in one pass
-        merged.sort(kind="stable")
-    return len(_distinct(merged))
+def _sorted_distinct(keys: np.ndarray) -> int:
+    """Sort `keys` in place, move its distinct values to its start, and
+    return how many there are."""
+    keys.sort()
+    return len(_distinct(keys))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
-from .poly import Polynomial, from_histogram
+from .poly import Polynomial, check_counting, from_histogram
 
 if TYPE_CHECKING:  # numpy is loaded by `engine` on the first closure
     import numpy as np
@@ -120,9 +120,13 @@ def length_histogram(members: Iterable[SignedPerm]) -> LengthHistogram:
 def enumerate_gridclass(perms: Iterable[SignedPerm]) -> Polynomial:
     """
     The polynomial P with P(n) = |Grid(perms) intersect B_n| for all
-    integers n >= 1.
+    integers n >= 1.  Raise ValueError unless P passes the cheap
+    invariants of every count of signed permutations
+    (`poly.check_counting`), as the CLI's `enumerate` does.
     """
-    return from_histogram(closure_histogram(perms).counts)
+    p = from_histogram(closure_histogram(perms).counts)
+    check_counting(p, "grid class")
+    return p
 
 
 def grid_member(sigma: SignedPerm, members: PermSet) -> bool:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from signedgrids import engine
 from signedgrids.gridclass import (
     LengthHistogram,
     closure_histogram,
@@ -100,6 +101,14 @@ class TestEnumerate:
         assert p == Polynomial.from_coeffs([1])
         for n in range(1, 6):
             assert oracles.grid_count_bruteforce({(1,)}, n) == 1
+
+    def test_union_that_keeps_repeats_refused(self, monkeypatch):
+        # The library entry point runs the gate that `enumerate` on the CLI
+        # runs: a union that skips deduplication gives 2 -1 3 -5 4 the
+        # polynomial [90, 293/12, 131/24, 1/12, 1/24], which is refused.
+        monkeypatch.setattr(engine, "_distinct", lambda keys: keys)
+        with pytest.raises(ValueError, match=r"^grid class: P\(1\) = 120 is outside 0..2\^n n! = 2$"):
+            enumerate_gridclass({(2, -1, 3, -5, 4)})
 
     @given(st.sets(signed_perms(min_len=0, max_len=5), min_size=1, max_size=3))
     @settings(max_examples=40)

@@ -1,8 +1,12 @@
 """Pointwise operators on signed permutations."""
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,9 +500,12 @@ class TestArrayEngine:
     def test_merge_lets_go_of_the_old_result(self, monkeypatch):
         # Past the limit on a single sort, the result is the start of the
         # union's buffer, and each batch is merged into it there.  When a
-        # merged run is deduplicated, just after its sorts, numpy holds
-        # the buffer beside what it held before the union, and nothing
-        # else: no copy of the old result, nor of a batch or a part's keys.
+        # merged run is deduplicated, just after its sort, numpy holds the
+        # buffer beside what it held before the union, and nothing else:
+        # no copy of the old result, nor of a batch or a part's keys.
+        # These bytes are sampled after the sort, so they rule out copies
+        # that outlive it, not a work buffer the sort frees before it
+        # returns; `test_union_peak_is_its_buffer` bounds that one.
         def numpy_bytes():
             traces = tracemalloc.take_snapshot().filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
             return sum(stat.size for stat in traces.statistics("filename"))
@@ -523,6 +530,36 @@ class TestArrayEngine:
         assert engine.to_tuples(engine.from_keys(union, 4)) == self.LEVEL
         assert len(held) >= 3
         assert held == [8 * 2 * len(level)] * len(held)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    def test_union_peak_is_its_buffer(self):
+        # All of B_8, 10,321,920 rows, as 2^20-row views of one level: a
+        # union past the limit on a single sort, whose every batch is
+        # merged.  The process's high-water mark grows by the buffer of
+        # one key per row and a few MiB, in a fresh interpreter, where
+        # nothing else has raised it.  A sort that allocates its own work
+        # buffer (a stable merge holds up to half the union) shows here,
+        # though it is freed before the keys are deduplicated.
+        code = (
+            "import itertools, resource\n"
+            "import numpy as np\n"
+            "from signedgrids import engine\n"
+            "perms = np.array(list(itertools.permutations(range(1, 9))), dtype=np.int8)\n"
+            "signs = 1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.int8)\n"
+            "level = (perms[:, None, :] * signs).reshape(-1, 8)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "parts = (level[i : i + 2**20] for i in range(0, len(level), 2**20))\n"
+            "union = engine.unique_keys(parts, len(level))\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(len(union), bool((union[1:] > union[:-1]).all()), grown)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        rows, ascending, grown_kib = done.stdout.split()
+        assert (int(rows), ascending) == (2**8 * 40320, "True")
+        buffer_kib = 8 * 2**8 * 40320 // 1024  # 78.75 MiB
+        assert int(grown_kib) <= buffer_kib + 4 * 1024
 
     def test_compact_count_a_block_at_a_time(self, monkeypatch):
         # all of B_4, counted in blocks of 7 keys, the last one partial
