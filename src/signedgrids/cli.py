@@ -66,8 +66,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         lines = Path(args.input).read_text().splitlines()
         members = gridclass.permset_from_lines(lines)
     hist = gridclass.closure_histogram(members)
-    p = poly.from_histogram(hist.counts)
-    poly.check_counting(p, "grid class")
+    p = gridclass.class_polynomial(hist)
     if args.verbose:
         print(_hist_summary(hist))
     _print_poly(p, args)

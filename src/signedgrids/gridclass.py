@@ -117,16 +117,25 @@ def length_histogram(members: Iterable[SignedPerm]) -> LengthHistogram:
     return LengthHistogram(counts, has_epsilon)
 
 
+def class_polynomial(hist: LengthHistogram) -> Polynomial:
+    """
+    The enumerating polynomial of the grid class whose compact
+    representatives `hist` counts.  Raise ValueError unless it passes the
+    cheap invariants of every count of signed permutations
+    (`poly.check_counting`).
+    """
+    p = from_histogram(hist.counts)
+    check_counting(p, "grid class")
+    return p
+
+
 def enumerate_gridclass(perms: Iterable[SignedPerm]) -> Polynomial:
     """
     The polynomial P with P(n) = |Grid(perms) intersect B_n| for all
-    integers n >= 1.  Raise ValueError unless P passes the cheap
-    invariants of every count of signed permutations
-    (`poly.check_counting`), as the CLI's `enumerate` does.
+    integers n >= 1, checked as the CLI's `enumerate` checks it
+    (`class_polynomial`).
     """
-    p = from_histogram(closure_histogram(perms).counts)
-    check_counting(p, "grid class")
-    return p
+    return class_polynomial(closure_histogram(perms))
 
 
 def grid_member(sigma: SignedPerm, members: PermSet) -> bool:

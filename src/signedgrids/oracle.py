@@ -15,7 +15,12 @@ the store never does.
 One layer loop serves both searches.  `ball(n, k)` stops after layer k,
 the radius-k ball around the identity, and `bfs_histogram` runs it until
 B_n runs out.  `verify` compares counts only up to k_max, so it searches
-each B_n to depth k_max and never builds the layers past it.  Wherever a
+each B_n to depth k_max and never builds the layers past it.  Layer k of
+a ball is only counted, one first-entry value at a time, and never held
+whole: the images whose first entry is v fill one key range, which is
+unioned, stripped of the two layers before it, counted and dropped.
+Every layer the search keeps, and every layer of `bfs_histogram`, is one
+union of all the images of the layer before it.  Wherever a
 search runs out of states it asserts that it covered all 2^n n! of B_n;
 every search also asserts that layer 1 holds one state per move, counted
 from n, which a search cut short can check for free.
@@ -86,15 +91,58 @@ def _members(keys: np.ndarray, layer: np.ndarray) -> np.ndarray:
     return layer[at] == keys
 
 
+def _fresh(found: np.ndarray, layer: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """For each key found, whether it lies in neither of the last two layers."""
+    return ~(_members(found, layer) | _members(found, previous))
+
+
+def _count_next_layer(
+    rows: np.ndarray, moves: list[tuple[np.ndarray, np.ndarray]], layer: np.ndarray, previous: np.ndarray
+) -> int:
+    """
+    The size of the layer after `layer`, whose rows are `rows`, counted
+    one first-entry value v at a time and never held whole.  A key's most
+    significant field is the first entry, so the images whose first entry
+    is v fill one key range, disjoint from every other value's: each range
+    is one union of its own, stripped of `layer` and `previous`, counted
+    and dropped.  An image's first entry is sign[0] * row[order[0]], -x_{j-1}
+    for a move of the segment [0, j) and x_0 for the others, so the source
+    rows of a value are picked once per (column, sign) pair.  The rows come
+    from sorted keys, so column 0 is sorted and its picks are one slice.
+    """
+    from . import engine
+    import numpy as np
+
+    columns = rows.T  # rows are column-major, so each column is contiguous
+    sources = [(int(order[0]), int(sign[0])) for order, sign in moves]
+    n, count = rows.shape[1], 0
+    for v in (*range(-n, 0), *range(1, n + 1)):
+        picked = {}
+        for column, s in dict.fromkeys(sources):
+            if column == 0:
+                start, stop = columns[0].searchsorted([s * v, s * v + 1])
+                picked[column, s] = rows[start:stop]
+            else:
+                picked[column, s] = columns.take(np.flatnonzero(columns[column] == s * v), axis=1).T
+        size = sum(len(picked[source]) for source in sources)
+        if size:
+            images = (picked[source][:, order] * sign for source, (order, sign) in zip(sources, moves))
+            found = engine.unique_keys(images, size)
+            del picked
+            count += int(np.count_nonzero(_fresh(found, layer, previous)))
+    return count
+
+
 def ball(n: int, k: int, family: Family, n_ceiling: int | None = None) -> tuple[int, ...]:
     """
     Layer sizes of B_n from the identity for distances 0..k, fewer when
-    B_n runs out first; layer k + 1 and beyond are never built.  Refuses
-    n above the ceiling (default 7, i.e. 645120 states); raise it
-    explicitly to go to n = 8 and beyond.  Raises AssertionError when
-    layer 1 does not hold one state per move (n for pancakes, n(n+1)/2
-    for reversals), and, where the search runs out of states, when it
-    has not covered all 2^n n! of B_n.
+    B_n runs out first; layer k + 1 and beyond are never built, and layer
+    k is only counted, one first-entry value at a time, never held whole
+    (`_count_next_layer`).  Refuses n above the ceiling (default 7, i.e.
+    645120 states); raise it explicitly to go to n = 8 and beyond.
+    Raises AssertionError when layer 1 does not hold one state per move
+    (n for pancakes, n(n+1)/2 for reversals), and, where the search runs
+    out of states, when it has not covered all 2^n n! of B_n.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -115,11 +163,16 @@ def ball(n: int, k: int, family: Family, n_ceiling: int | None = None) -> tuple[
     # rather than let it run on.
     while len(counts) <= k and sum(counts) <= total:
         rows = engine.from_keys(layer, n)
+        if len(counts) == k:  # the last layer is only counted
+            size = _count_next_layer(rows, moves, layer, previous)
+            if size:
+                counts.append(size)
+            break
         # Every move's images, one part per move, keyed into the union's
         # one buffer of len(layer) * len(moves) keys.
         found = engine.unique_keys((rows[:, order] * sign for order, sign in moves), len(layer) * len(moves))
         del rows
-        found = found[~(_members(found, layer) | _members(found, previous))]
+        found = found[_fresh(found, layer, previous)]
         if not len(found):
             break
         counts.append(len(found))

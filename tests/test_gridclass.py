@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from signedgrids import engine
 from signedgrids.gridclass import (
     LengthHistogram,
+    class_polynomial,
     closure_histogram,
     complete_and_compact,
     enumerate_gridclass,
@@ -109,6 +110,13 @@ class TestEnumerate:
         monkeypatch.setattr(engine, "_distinct", lambda keys: keys)
         with pytest.raises(ValueError, match=r"^grid class: P\(1\) = 120 is outside 0..2\^n n! = 2$"):
             enumerate_gridclass({(2, -1, 3, -5, 4)})
+
+    def test_class_polynomial_is_the_one_gate(self):
+        # `enumerate_gridclass` and the CLI's `enumerate` both take their
+        # polynomial from this: a histogram no class has is refused
+        assert class_polynomial(closure_histogram({(-2, 1, 3)})) == enumerate_gridclass({(-2, 1, 3)})
+        with pytest.raises(ValueError, match=r"^grid class: P\(2\) = 9 is outside 0..2\^n n! = 8$"):
+            class_polynomial(LengthHistogram({2: 9}, True))
 
     @given(st.sets(signed_perms(min_len=0, max_len=5), min_size=1, max_size=3))
     @settings(max_examples=40)

@@ -122,7 +122,7 @@ def _without_the_last_move(monkeypatch):
 
 class TestBall:
     @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_ball_is_the_full_search_cut_at_k(self, n, family):
         counts = bfs_histogram(n, family).counts
         for k in range(len(counts) + 1):  # 0 to the diameter + 1
@@ -209,21 +209,22 @@ class TestVerify:
             verify(family, k_max=k_max, n_max=n_max)
 
     def test_searches_stop_at_k_max(self, monkeypatch):
-        # one union of every move's images per layer built: at k_max = 3 no
-        # search builds layer 4, and B_1, whose diameter is 1, tries layer 2
-        # and finds it empty
+        # a search keys the identity and every move's images of each layer
+        # it expands: at k_max = 3 that is layers 0 to 2, so no search keys
+        # the images of layer 3, which make layer 4; B_1, whose diameter is
+        # 1, keys the images of its layer 1 and finds no layer 2
         classes = distance.distance_classes(Family.PANCAKE, range(4))
         monkeypatch.setattr(oracle, "distance_classes", lambda family, ks, *_: [classes[k] for k in ks])
-        unions, unique_keys = Counter(), engine.unique_keys
+        keyed, keys = Counter(), engine.keys
 
-        def counted(parts, rows):
-            parts = list(parts)
-            unions[parts[0].shape[1]] += 1
-            return unique_keys(parts, rows)
+        def counted(level, out=None):
+            keyed[level.shape[-1]] += level.size // level.shape[-1]
+            return keys(level, out)
 
-        monkeypatch.setattr(engine, "unique_keys", counted)
+        monkeypatch.setattr(engine, "keys", counted)
         assert verify(Family.PANCAKE, k_max=3, n_max=7).all_match
-        assert unions == {1: 2, 2: 3, 3: 3, 4: 3, 5: 3, 6: 3, 7: 3}
+        expanded = {n: sum(BFS_LAYERS[Family.PANCAKE][n - 1][:3]) for n in range(1, 8)}
+        assert keyed == {n: 1 + n * expanded[n] for n in range(1, 8)}
 
     def test_mismatch_reported_not_raised(self):
         good = VerifyRow(2, 1, 3, 3)
