@@ -10,13 +10,14 @@ and the exact coefficient array.  The classes missing from the store
 come from one walk per family, which builds D_k for every k on its way
 to the highest, so the time is that walk's, not a sum of one walk per
 class.  The burnt-pancake run covers k <= 8 by default; pass --stretch
-for k = 9 and 10 (about 5 s and 0.3 GB of RAM in all, without a store,
-on a 2-core Xeon).  With --cache-dir the histograms are read from that
-store when present.  Every class, read or computed, passes one gate,
-`check_polynomial`, then P(0) = 1, then `check_counts`, and a computed
-class is written to the store only after it passes: its generator set
-Pi_k, decoded from the keys of it that the walk kept, as `pi_k.perms`, a
-file that is never read back, and then its histogram as `S_k.hist`, last.
+for k = 9 and 10 (about 4 s and 0.16 GB of RAM in all without a store,
+and 0.19 GB with one, on a 2-core Xeon).  With --cache-dir the
+histograms are read from that store when present.  Every class, read
+or computed, passes one gate, `check_polynomial`, then P(0) = 1, then
+`check_counts`, and a computed class is written to the store only
+after it passes: its generator set Pi_k, decoded from the keys of it
+that the walk kept, as `pi_k.perms`, a file that is never read back,
+and then its histogram as `S_k.hist`, last.
 
 Usage:
     python scripts/build_tables.py [--stretch] [--cache-dir DIR]

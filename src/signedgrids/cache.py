@@ -12,10 +12,11 @@ Layout under the cache directory:
 Every cache file is ASCII text and starts with a header line carrying the
 format version.  Files are written to a temporary name in the same
 directory and renamed into place, so a reader sees the old file or the
-new one, never a part.  A file that is not ASCII is rejected naming the
-file and the byte; one with an unexpected header, or with any line the
-writer would not have written, naming the file and the line, rather than
-silently misread.  The same class always writes the same bytes.
+new one, never a part.  Every line, the last included, ends in a line
+feed alone.  A file that is not ASCII is rejected naming the file and the
+byte; one with an unexpected header, or with any line the writer would
+not have written, its line end included, naming the file and the line,
+rather than silently misread.  The same class always writes the same bytes.
 """
 from __future__ import annotations
 
@@ -51,13 +52,19 @@ def hist_path(cache_dir: Path, family: Family, k: int) -> Path:
 
 
 def _read_lines(path: Path, header: str) -> list[str]:
+    """The lines after the header, split at line feeds alone, which end
+    every line the writer writes: a carriage return or another break that
+    `str.splitlines` would split at stays inside its line, and a last
+    line with no line feed is refused."""
     try:
-        lines = path.read_bytes().decode("ascii").splitlines()
+        lines = path.read_bytes().decode("ascii").split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: byte {exc.start} is not ASCII") from None
-    if not lines or lines[0] != header:
+    if len(lines) < 2 or lines[0] != header:
         raise ValueError(f"{path}: missing or unexpected header (expected {header!r})")
-    return lines[1:]
+    if lines[-1]:
+        raise ValueError(f"{path}: line {len(lines) - 1} after the header: no line end")
+    return lines[1:-1]
 
 
 def _write(path: Path, chunks: Iterable[bytes]) -> None:

@@ -41,14 +41,15 @@ most split entries.  This one step, `_downset_level`, builds every level:
 the one before, dropping each level of D_{j-1} once the level of D_j of
 its length is built.  The classes are nested, so that walk yields the
 histogram of every class up to k.  `_split_moves` gives each M_c as
-plans (level, columns to split, segments to reverse), and
+plans (columns to split, segments to reverse) for a row length, and
 `_downset_level` sizes the union from the plans before it gathers their
-parts, so the parts and the row count come from one list.  A level
-leaves the union as sorted distinct keys (`engine.unique_keys`).  Those
-of D_1..D_{k-1} are decoded whole for the next step, and their compact
-rows counted from the rows (`engine.count_compact_rows`); those of D_k,
-Pi_k first, are only counted, from the keys a block of rows at a time
-(`engine.compact_count`), so no level of D_k is ever decoded whole.
+parts, so the parts and the row count come from the same plans.  Every
+level is held in one format, the sorted distinct keys that leave the
+union (`engine.unique_keys`).  `_gathers` decodes a source level one
+block of rows at a time and runs every plan of that level on the block,
+and every level is counted from its keys a block of rows at a time
+(`engine.compact_count`), so the walk decodes no level whole; only Pi_k
+is, once grown (`generator_set`) or for the store's export.
 
 Every distance class satisfies two facts that its histogram can show.
 Let S be the compact members of the class, the empty permutation
@@ -95,10 +96,10 @@ its polynomial passes is a computed class in the range written:
 the keys of Pi_k that the walk kept for it, then `S_k.hist` last, so a
 stored histogram means both files are whole.  The walk keeps those keys
 only for the classes a store will get, so a request with no store holds
-nothing extra.  Every step acts on whole `engine` levels
-(int8 arrays, one row per permutation), so Pi_k is limited to
-`engine.MAX_LENGTH` (13) entries, and a longer Pi_k is refused before
-the first growth step.
+nothing extra.  Every step acts on blocks of `engine` rows (int8
+arrays, one row per permutation) and on their keys, so Pi_k is limited
+to `engine.MAX_LENGTH` (13) entries, and a longer Pi_k is refused
+before the first growth step.
 `engine`, with numpy, is loaded when Pi_k or its downset is first
 computed, and `perm` on the first sorting-sequence translation, so a
 query answered from the store loads neither.  The ceiling on k lives
@@ -107,6 +108,7 @@ here too.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache, partial
 from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator, Sequence
@@ -118,9 +120,9 @@ if TYPE_CHECKING:  # numpy is loaded by `engine` on the first growth step
 
     from .perm import SignedPerm
 
-    # A part of a growth step (`_split_moves`): a level, the columns split
-    # in turn, and the segments reversed and negated.
-    Plan = tuple[np.ndarray, tuple[int, ...], list[tuple[int, int]]]
+    # A part of a growth step (`_split_moves`): the columns split in turn,
+    # and the segments reversed and negated.
+    Plan = tuple[tuple[int, ...], list[tuple[int, int]]]
 
 
 class Family(enum.Enum):
@@ -138,8 +140,8 @@ DEFAULT_K_CEILING = {Family.PANCAKE: 10, Family.REVERSAL: 5}
 # The BFS layer sizes of B_n from the identity: BFS_LAYERS[family][n - 1][d]
 # signed permutations of length n lie at distance exactly d.  The rows of
 # B_1..B_7 are whole (`oracle.bfs_histogram`); those of pancake B_8, B_9 and
-# reversal B_8..B_10 stop at the default ceiling on k (`oracle.ball`, 17 s
-# and 1.4 GB for pancake B_9 on a 2-core Xeon).  Each is pinned against its
+# reversal B_8..B_10 stop at the default ceiling on k (`oracle.ball`, 17-20 s
+# and 469 MB for pancake B_9 on a 2-core Xeon).  Each is pinned against its
 # search by a test and kept here as literals, so that the gate checks every
 # polynomial against them with no search and no numpy.
 BFS_LAYERS = {
@@ -194,9 +196,11 @@ _MAX_INSIDE = {Family.PANCAKE: 1, Family.REVERSAL: 2}
 # whole; `_downset_level` hands the gathers to `engine.unique_keys`, which
 # keys each in one pass per column into its slice of the union's buffer.  A
 # gather stays alive until the next one is yielded, through any merge of a
-# batch in between.  In the pancake k = 10 walk, 2^18 and 2^19 rows gave
-# the same time and peak RSS (5.3 s, 195 MB), and 2^20 was 2 MB lower and
-# 4% slower (medians of 5 runs, 2-core Xeon, Python 3.11, numpy 2.4).
+# batch in between.  When gathers were cut from whole levels, 2^18 and 2^19
+# rows gave the pancake k = 10 walk the same time and peak RSS (5.3 s,
+# 195 MB), and 2^20 was 2 MB lower and 4% slower (medians of 5 runs, 2-core
+# Xeon, Python 3.11, numpy 2.4).  A gather now comes from one block of
+# `engine.blocks`, so it holds at most that block's rows times its segments.
 _PART_ROWS = 1 << 19
 
 
@@ -222,20 +226,19 @@ def _reverse_segments(level: np.ndarray, segments: list[tuple[int, int]]) -> Ite
         yield (level[start : start + step, order] * sign).transpose(1, 0, 2)
 
 
-def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[Plan]:
+def _split_moves(m: int, family: Family, inside: int) -> Iterator[Plan]:
     """
-    M_inside of an `engine` level, as plans (level, columns, segments):
-    the given columns of every row are split into monotone pairs in turn,
-    and then each segment of the split rows is reversed and negated, one
-    copy per segment.  Across the plans, `inside` entries of every row
-    are split, and the segment between two cuts is reversed and negated,
-    where exactly `inside` of the cuts sit between the halves of a split
-    entry and the rest fall between entries (empty segments included).
-    The plans are those of block reversals; for pancakes they keep only
-    the segments whose left cut is pinned at position 0, and a plan left
-    with none is dropped.
+    M_inside of rows of length m, as plans (columns, segments): the given
+    columns of every row are split into monotone pairs in turn, and then
+    each segment of the split rows is reversed and negated, one copy per
+    segment.  Across the plans, `inside` entries of every row are split,
+    and the segment between two cuts is reversed and negated, where
+    exactly `inside` of the cuts sit between the halves of a split entry
+    and the rest fall between entries (empty segments included).  The
+    plans are those of block reversals; for pancakes they keep only the
+    segments whose left cut is pinned at position 0, and a plan left with
+    none is dropped.
     """
-    m = level.shape[1]
     if inside == 0:  # one empty segment, (0, 0), stands for them all
         plans = [((), [(0, 0)] + [(a, b) for a in range(m) for b in range(a + 1, m + 1)])]
     elif inside == 1:  # j + 1 is the cut between the halves of entry j
@@ -247,53 +250,56 @@ def _split_moves(level: np.ndarray, family: Family, inside: int) -> Iterator[Pla
     for columns, segments in plans:
         segments = [(a, b) for a, b in segments if a == 0 or family is Family.REVERSAL]
         if segments:
-            yield level, columns, segments
+            yield columns, segments
 
 
 def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.ndarray:
-    """The sorted distinct keys of D_k(m), from the levels of D_{k-1}
-    (length -> level): the union of M_c(D_{k-1}(m - c)) over the cuts c
-    that can sit inside a split entry.  The union is sized from the same
-    plans that its parts are gathered from."""
+    """The sorted distinct keys of D_k(m), from the sorted keys of the
+    levels of D_{k-1} (length -> keys): the union of M_c(D_{k-1}(m - c))
+    over the cuts c that can sit inside a split entry.  The union is sized
+    from the same plans that its parts are gathered from."""
     from . import engine
 
-    plans = [plan for c in range(_MAX_INSIDE[family] + 1) if m - c in below for plan in _split_moves(below[m - c], family, c)]
-    rows = sum(len(level) * len(segments) for level, _, segments in plans)
-    return engine.unique_keys(_gathers(plans), rows)
+    plans = {m - c: list(_split_moves(m - c, family, c)) for c in range(_MAX_INSIDE[family] + 1) if m - c in below}
+    rows = sum(len(below[length]) * len(segments) for length, moves in plans.items() for _, segments in moves)
+    return engine.unique_keys(_gathers(below, plans), rows)
 
 
-def _gathers(plans: list[Plan]) -> Iterator[np.ndarray]:
-    """The parts of the plans in order: each plan's level split at its
-    columns in turn, and then its segments reversed (`_reverse_segments`).
-    The split at a plan's first column is kept for the plans that follow
-    with the same level and first column, as those of M_2 do."""
+def _gathers(below: dict[int, np.ndarray], plans: dict[int, list[Plan]]) -> Iterator[np.ndarray]:
+    """The parts of the plans of each source length (length -> plans),
+    one block of source rows at a time (`engine.blocks`): the block is
+    decoded once, every plan of its length runs on it, splitting its
+    columns in turn and then reversing its segments (`_reverse_segments`),
+    and the block is dropped.  The block's split at a plan's first column
+    is kept for the plans that follow with the same first column, as those
+    of M_2 do."""
     from . import engine
 
-    split = None, None, None  # a level, a column and the level split there
-    for level, columns, segments in plans:
-        if columns:
-            if split[0] is not level or split[1] != columns[0]:
-                split = level, columns[0], engine.split_column(level, columns[0])
-            level = split[2]
-        for j in columns[1:]:
-            level = engine.split_column(level, j)
-        yield from _reverse_segments(level, segments)
+    for length, moves in plans.items():
+        for block in engine.blocks(below[length], length):
+            first_split = lru_cache(maxsize=1)(partial(engine.split_column, block))
+            for columns, segments in moves:
+                level = first_split(columns[0]) if columns else block
+                for j in columns[1:]:
+                    level = engine.split_column(level, j)
+                yield from _reverse_segments(level, segments)
 
 
 def generator_set(family: Family, k: int) -> np.ndarray:
-    """Pi_k as an `engine` level, grown from Pi_0 one top level at a time;
-    no file is read or written.  A Pi_k longer than the engine's limit
-    raises ValueError before the first step."""
+    """Pi_k as an `engine` level, grown from Pi_0 one top level at a time
+    as sorted keys and decoded once at the end; no file is read or
+    written.  A Pi_k longer than the engine's limit raises ValueError
+    before the first step."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     from . import engine
 
     engine.check_length(_generator_length(family, k))
-    level = engine.rows([(1,)], 1)
-    for _ in range(k):
-        m = level.shape[1] + _MAX_INSIDE[family]
-        level = engine.from_keys(_downset_level({level.shape[1]: level}, m, family), m)
-    return level
+    m, keys = 1, engine.keys(engine.rows([(1,)], 1))
+    # m runs over the lengths of Pi_1, ..., Pi_k
+    for m in range(1 + _MAX_INSIDE[family], _generator_length(family, k) + 1, _MAX_INSIDE[family]):
+        keys = _downset_level({m - _MAX_INSIDE[family]: keys}, m, family)
+    return engine.from_keys(keys, m)
 
 
 def pancake_pi(k: int) -> gridclass.PermSet:
@@ -331,13 +337,13 @@ def _computed_histograms(
     """
     The histograms of classes 0..k, from one walk, and the sorted keys of
     Pi_j, the top level of D_j, for each j in `keep` (j -> keys): D_1, ...,
-    D_k are built in turn, each top-down from the one before (D_0 = {1}),
-    and the compact rows of every level are counted as it is built.  The
-    levels of D_1..D_{k-1} are decoded whole for the next step and counted
-    from their rows, and each level of D_{j-1} is dropped once the level of
-    D_j of its length is built; those of D_k, Pi_k first, are counted from
-    their keys a block of rows at a time, so no level of D_k is decoded
-    whole.  No file is touched.  A Pi_k longer than the engine's
+    D_k are built in turn as sorted keys, each top-down from the one
+    before (D_0 = {1}), and the compact rows of every level are counted
+    from its keys as it is built (`engine.compact_count`).  Each level of
+    D_{j-1} is dropped once the level of D_j of its length is built, and
+    those of D_k, Pi_k first, once counted.  Every level is decoded only a
+    block of rows at a time, to be grown from or counted, so no level is
+    decoded whole.  No file is touched.  A Pi_k longer than the engine's
     limit raises ValueError before the first growth step.  Two facts that
     a histogram cannot show are checked on every class, each with an
     explicit raise of AssertionError: every member of Pi_j, the first level
@@ -350,20 +356,20 @@ def _computed_histograms(
     from . import engine
 
     engine.check_length(_generator_length(family, k))
-    hists, below, tops = [gridclass.LengthHistogram({1: 1}, True)], {1: engine.rows([(1,)], 1)}, {}
+    hists, below, tops = [gridclass.LengthHistogram({1: 1}, True)], {1: engine.keys(engine.rows([(1,)], 1))}, {}
     for j in range(1, k + 1):
         counts, ends, built = {0: 1}, {0: 0}, {}  # the empty permutation, which ends in no +0
         for m in range(max(below) + _MAX_INSIDE[family], 0, -1):
             keys = _downset_level(below, m, family)
             below.pop(m, None)
-            if j < k:  # decoded whole for the next step, so counted from its rows
-                built[m] = engine.from_keys(keys, m)
-            counts[m], ends[m] = engine.count_compact_rows(built[m]) if j < k else engine.compact_count(keys, m)
+            counts[m], ends[m] = engine.compact_count(keys, m)
             if len(counts) == 2:  # Pi_j
                 if counts[m] != len(keys):
                     raise AssertionError(f"{family.value} k={j}: Pi_{j} has {len(keys)} members, {counts[m]} of them compact")
                 if j in keep:
                     tops[j] = keys
+            if j < k:  # the next step grows from it
+                built[m] = keys
             del keys  # before the next level is built
         below, length = built, _generator_length(family, j)
         ends[length + 1] = 0  # a longer level is the degree check's to refuse

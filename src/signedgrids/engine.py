@@ -33,20 +33,21 @@ rows the parts hold, counted from the same lists the parts come from, so
 every part's keys are written straight into one buffer, and each step of
 the union is one in-place sort of it (see `unique_keys`).  The codec is
 public for them, for the BFS oracle, which keeps its layers as sorted
-keys, and for `distance`, which counts the compact rows of every downset
-level, those of the last class from their keys:
+keys, and for `distance`, whose downset walk keeps every level as sorted
+keys, decodes them a block of rows at a time to grow the next class, and
+counts the compact rows of every level from its keys:
 
     keys(level, out)          the key of every row of a level, or of a
                               stack of levels, as one flat array, written
                               into `out` if it is given
     from_keys(keys, m)        keys -> a level of length m
+    blocks(keys, m)           the same level, a block of rows at a time
     unique_keys(parts, rows)  the sorted distinct keys of the rows of
                               same-length levels or stacks of them, at
                               least one part, `rows` rows in all
-    count_compact_rows(l)     the compact rows of a level, and those of them
-                              that end in +m
-    compact_count(keys, m)    the same for the rows of keys, decoded a block
-                              at a time
+    compact_count(keys, m)    the compact rows of the level of length m
+                              with these keys, and those of them that end
+                              in +m, counted a block at a time
 
 Levels are column-major where they are made in bulk: `from_keys` and
 `split_column` write them a column at a time, and `keys` reads them a
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import gc
 import os
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 # numpy with no OpenBLAS worker threads, os.environ left as it was (see the
 # module docstring).
@@ -105,7 +106,8 @@ MAX_LENGTH = 13
 # become tuples: this bounds the temporaries whatever the level size.
 _BLOCK_ROWS = 1 << 20
 _TUPLE_BLOCK_ROWS = 1 << 14
-# Rows per block when compact rows are counted from keys.
+# Rows per block when keys are decoded to be counted (`compact_count`) or
+# grown from (`distance`'s downset walk), so no whole level is decoded.
 _COUNT_ROWS = 1 << 16
 # The most rows that `unique_keys` sorts at once; a larger union merges
 # batches into its result.  Every union of pancake k <= 9 and reversal
@@ -244,22 +246,22 @@ def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
     return columns.T
 
 
-def count_compact_rows(level: np.ndarray) -> tuple[int, int]:
-    """The number of compact rows of a level of length m, and of those
-    that end in +m."""
-    mask = compact_mask(level)
-    return int(np.count_nonzero(mask)), int(np.count_nonzero(mask & (level[:, -1] == level.shape[1])))
+def blocks(keys: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """The level of length m with these keys, decoded one block of
+    `_COUNT_ROWS` rows at a time, so no whole level is ever decoded."""
+    for start in range(0, len(keys), _COUNT_ROWS):
+        yield from_keys(keys[start : start + _COUNT_ROWS], m)
 
 
 def compact_count(keys: np.ndarray, m: int) -> tuple[int, int]:
-    """`count_compact_rows` of the level of length m with these keys,
-    decoded one block of rows at a time, so no whole level is ever
-    decoded."""
+    """The number of compact rows of the level of length m with these
+    keys, and of those that end in +m, counted a block at a time
+    (`blocks`)."""
     compact = ends = 0
-    for start in range(0, len(keys), _COUNT_ROWS):
-        block_compact, block_ends = count_compact_rows(from_keys(keys[start : start + _COUNT_ROWS], m))
-        compact += block_compact
-        ends += block_ends
+    for block in blocks(keys, m):
+        mask = compact_mask(block)
+        compact += int(np.count_nonzero(mask))
+        ends += int(np.count_nonzero(mask & (block[:, -1] == m)))
     return compact, ends
 
 

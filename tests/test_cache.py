@@ -89,6 +89,56 @@ class TestHistogramFiles:
         assert cache.pi_path(tmp_path, Family.PANCAKE, 9).parent.name == "pancake"
 
 
+# Every line a writer writes ends in "\n" alone, so a file with another
+# line break, or whose last line has no "\n", is not one it wrote, though
+# `str.splitlines` would also split at "\r\n", "\v", "\f" and "\x1c".."\x1e".
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (f"{cache.HIST_HEADER}\r\nepsilon 1\r\n1 2\r\n", "missing or unexpected header"),
+        (f"{cache.HIST_HEADER}\nepsilon 1\r\n1 2\r\n", "line 1 after the header: "),
+        (f"{cache.HIST_HEADER}\nepsilon 1\n1 2\x0b2 6\x1c3 34\n", "line 2 after the header: "),
+        (f"{cache.HIST_HEADER}\nepsilon 1\n1 2", "line 2 after the header: no line end"),
+        (cache.HIST_HEADER, "missing or unexpected header"),
+    ],
+    ids=["crlf", "crlf-after-the-header", "vertical-tab", "no-final-newline", "header-alone"],
+)
+def test_histogram_line_breaks_other_than_newline_rejected(tmp_path, text, error):
+    path = tmp_path / "h.hist"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=rf"h\.hist: {error}"):
+        cache.read_histogram(path)
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (f"{cache.PERMS_HEADER}\r\n1\r\n", "missing or unexpected header"),
+        (f"{cache.PERMS_HEADER}\n-1 2\r\n2 -1 3\r\n", "line 1 after the header: "),
+        (f"{cache.PERMS_HEADER}\n-1 2\x0b2 -1 3\n", "line 1 after the header: "),
+        (f"{cache.PERMS_HEADER}\n1\n-1 2", "line 2 after the header: no line end"),
+        (cache.PERMS_HEADER, "missing or unexpected header"),
+    ],
+    ids=["crlf", "crlf-after-the-header", "vertical-tab", "no-final-newline", "header-alone"],
+)
+def test_permset_line_breaks_other_than_newline_rejected(tmp_path, text, error):
+    path = tmp_path / "p.perms"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=rf"p\.perms: {error}"):
+        cache.read_permset(path)
+
+
+def test_stored_histogram_with_crlf_line_ends_refused(tmp_path, capsys):
+    assert main(["--cache-dir", str(tmp_path), "pancake", "--k", "3"]) == 0
+    path = tmp_path / "pancake" / "S_3.hist"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    assert main(["--cache-dir", str(tmp_path), "pancake", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "S_3.hist: missing or unexpected header" in captured.err
+
+
 # sha256 of every file that `pancake --k 0..5` and `reversal --k 0..4`,
 # run in turn into one empty store, leave behind.
 COLD_DIGESTS = {

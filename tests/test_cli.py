@@ -209,13 +209,13 @@ class TestDistanceCommands:
         # for a one-entry row, so D_1(3) is a union of no parts.
         split_moves = distance._split_moves
 
-        def without_adjacent_halves(level, family, inside):
+        def without_adjacent_halves(m, family, inside):
             if inside < 2:
-                yield from split_moves(level, family, inside)
+                yield from split_moves(m, family, inside)
                 return
-            for i in range(level.shape[1]):
-                for j in range(i + 2, level.shape[1] + 1):
-                    yield level, (i, j), [(i + 1, j + 1)]
+            for i in range(m):
+                for j in range(i + 2, m + 1):
+                    yield (i, j), [(i + 1, j + 1)]
 
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         monkeypatch.setattr(distance, "_split_moves", without_adjacent_halves)
@@ -268,13 +268,17 @@ class TestCache:
 
     @pytest.mark.parametrize("verbose", [(), ("--verbose",)], ids=["plain", "verbose"])
     def test_histogram_cut_inside_its_last_line_rejected(self, capsys, tmp_path, verbose):
-        # "5 24" becomes "5 2": the file still parses and keeps its top length
+        # "5 24\n" becomes "5 2": the reader refuses a last line with no
+        # line end, and with its line end put back the file parses and
+        # keeps its top length, so the gate refuses it
         run(capsys, "--cache-dir", str(tmp_path), "pancake", "--k", "4")
         target = tmp_path / "pancake" / "S_4.hist"
-        target.write_bytes(target.read_bytes()[:-2])
-        code, out, err = run(capsys, "--cache-dir", str(tmp_path), *verbose, "pancake", "--k", "4")
-        assert (code, out) == (2, "")
-        assert "pancake k=4" in err and "leading coefficient" in err
+        cut = target.read_bytes()[:-2]
+        for text, errors in ((cut, ["S_4.hist: line 6 after the header: no line end"]), (cut + b"\n", ["pancake k=4", "leading coefficient"])):
+            target.write_bytes(text)
+            code, out, err = run(capsys, "--cache-dir", str(tmp_path), *verbose, "pancake", "--k", "4")
+            assert (code, out) == (2, "")
+            assert all(error in err for error in errors)
 
     @pytest.mark.parametrize(
         "k,old,new",

@@ -110,32 +110,32 @@ class TestGeneratorCheck:
         assert not (tmp_path / "pancake" / "pi_1.perms").exists()
 
     def test_downset_walk_frees_each_level(self, monkeypatch, tmp_path):
-        # While D_j(m) is built, the only levels alive, as rows or as keys,
-        # are those of D_{j-1} no longer than m and, except on the last
-        # step, the longer levels of D_j itself: D_{j-1}(m) is dropped once
-        # D_j(m) is built, D_{j-1} once D_j is whole, and the last step
-        # keeps no level it has yielded but, when a store will get it, the
-        # keys of Pi_k.  Every level of every class is counted once: those
-        # of D_1..D_{k-1} from their rows, decoded whole once each, and
-        # those of D_k, Pi_k included, from their keys in blocks of at most
-        # `block` rows, none decoded whole.  Once the walk is over, a store
-        # gets Pi_k decoded from the keys it kept, with no growth step.
+        # Every level of the walk is held as its sorted keys alone.  While
+        # D_j(m) is built, the only levels alive are those of D_{j-1} no
+        # longer than m and, except on the last step, the longer levels of
+        # D_j itself: D_{j-1}(m) is dropped once D_j(m) is built, D_{j-1}
+        # once D_j is whole, and the last step keeps no level but, when a
+        # store will get it, the keys of Pi_k.  No level is decoded whole
+        # in the walk: every decode is one block of at most `block` keys,
+        # dropped before the next level is built, and each block of a
+        # source level is decoded once per level it grows, not once per
+        # plan.  Every level of every class is counted once, from its keys,
+        # by `compact_count`.  Once the walk is over, a store gets Pi_k
+        # decoded whole from the keys the walk kept, with no growth step.
         k, block = 3, 8
-        refs = {}  # (j, m) -> weak references to D_j(m), as keys and as rows
-        built = []  # (j, m), from D_0(1), the base, made before any step
-        counted, whole, blocks = [], [], []  # (how, (j, m)) counted; (j, m) decoded whole; (j, m, rows) per block
+        refs = {}  # (j, m) -> a weak reference to the keys of D_j(m)
+        sizes = {(0, 1): 1}  # (j, m) -> the rows of D_j(m), from D_0(1), the base
+        built = []  # (j, m), from D_0(1), made before any step
+        counted = []  # (j, m) of each level counted
+        decodes = {}  # ("grow" or "count", j, m) -> blocks decoded while D_j(m) is built or counted
+        decoded, blocks = [], []  # keys per decode in the walk; weak references to the blocks
         counting = []  # nonempty while a level is counted, so a decode is one of its blocks
         after = []  # growth steps and decodes once the walk is over
         level_of, from_keys, count = distance._downset_level, engine.from_keys, engine.compact_count
-        count_rows = engine.count_compact_rows
         walk = distance._computed_histograms
 
         def alive():
-            return {key for key, held in refs.items() if any(ref() is not None for ref in held)}
-
-        def record(level):
-            refs.setdefault(built[-1], []).append(weakref.ref(level))
-            return level
+            return {key for key, ref in refs.items() if ref() is not None}
 
         def recording_level(below, m, family):
             if built[-1] is None:
@@ -147,31 +147,31 @@ class TestGeneratorCheck:
             longer = {(j, m2) for m2 in range(m + 1, 2 * j + 2)} if j < k else set()
             kept = {(k, 2 * k + 1)} if j == k and store is not None else set()
             assert alive() <= older | longer | kept, f"D_{j}({m})"
+            assert [ref for ref in blocks if ref() is not None] == [], f"D_{j}({m})"
             built.append((j, m))
-            return record(level_of(below, m, family))
+            keys = level_of(below, m, family)
+            refs[j, m], sizes[j, m] = weakref.ref(keys), len(keys)
+            return keys
 
         def recording_count(keys, m):
-            counted.append(("keys", built[-1]))
+            assert refs[built[-1]]() is keys
+            counted.append(built[-1])
             counting.append(m)
             try:
                 return count(keys, m)
             finally:
                 counting.pop()
 
-        def recording_rows(level):
-            if not counting:
-                counted.append(("rows", built[-1]))
-            return count_rows(level)
-
         def recording_from_keys(keys, m):
             if built[-1] is None:
                 after.append(("decode", m, len(keys)))
-            elif counting:
-                blocks.append((*built[-1], len(keys)))
-            else:
-                whole.append(built[-1])
-                return record(from_keys(keys, m))
-            return from_keys(keys, m)
+                return from_keys(keys, m)
+            how = ("count" if counting else "grow", *built[-1])
+            decodes[how] = decodes.get(how, 0) + 1
+            decoded.append(len(keys))
+            level = from_keys(keys, m)
+            blocks.append(weakref.ref(level))
+            return level
 
         def recording_walk(*args):
             hists, tops = walk(*args)
@@ -185,24 +185,26 @@ class TestGeneratorCheck:
         monkeypatch.setattr(distance, "_computed_histograms", recording_walk)
         monkeypatch.setattr(engine, "from_keys", recording_from_keys)
         monkeypatch.setattr(engine, "compact_count", recording_count)
-        monkeypatch.setattr(engine, "count_compact_rows", recording_rows)
         monkeypatch.setattr(engine, "_COUNT_ROWS", block)
         steps = [(j, m) for j in range(1, k + 1) for m in range(2 * j + 1, 0, -1)]
+        cuts = range(distance._MAX_INSIDE[Family.REVERSAL] + 1)
         for store in (None, tmp_path):
-            refs.clear(), counted.clear(), whole.clear(), blocks.clear(), after.clear()
+            refs.clear(), counted.clear(), decodes.clear(), decoded.clear(), blocks.clear(), after.clear()
             built[:] = [(0, 1)]
             [(hist, _)] = distance_classes(Family.REVERSAL, range(k, k + 1), cache_dir=store)
             assert hist.counts[2 * k + 1] == 35
             assert built[1:-1] == steps
             assert alive() == set()
-            # every level of every class is counted once; D_1..D_{k-1}
-            # are decoded whole once each, and D_k never, only a block at
-            # a time
-            assert counted == [("rows" if j < k else "keys", (j, m)) for j, m in steps]
-            assert whole == [(j, m) for j, m in steps if j < k]
-            assert {(j, m) for j, m, _ in blocks} == {(k, m) for m in range(1, 2 * k + 2)}
-            assert [n for _, _, n in blocks if n > block] == []
-            assert max(hist.counts.values()) > block
+            assert counted == steps
+            # no decode in the walk is more than a block, though some
+            # levels are longer than one
+            assert max(decoded) == block < max(sizes.values())
+            # a level's blocks are decoded once each to count it, and each
+            # block of its sources once to grow it
+            assert decodes == {
+                **{("count", j, m): -(-sizes[j, m] // block) for j, m in steps},
+                **{("grow", j, m): sum(-(-sizes[j - 1, m - c] // block) for c in cuts if (j - 1, m - c) in sizes) for j, m in steps},
+            }
             # after the walk, a store's export decodes Pi_k once from the
             # keys the walk kept, and grows nothing
             assert after == ([] if store is None else [("decode", 7, 35)])
@@ -215,31 +217,28 @@ def _pancake_without_the_full_flip(shortest):
     """Pancake M_0 without the flip of the whole row, on rows at least
     `shortest` long."""
 
-    def mutant(level, family, inside):
-        m = level.shape[1]
+    def mutant(m, family, inside):
         if inside or m < shortest:
-            yield from _SPLIT_MOVES(level, family, inside)
+            yield from _SPLIT_MOVES(m, family, inside)
         else:
-            yield level, (), [(0, b) for b in range(m)]
+            yield (), [(0, b) for b in range(m)]
 
     return mutant
 
 
-def _reversal_without_the_empty_segment(level, family, inside):
+def _reversal_without_the_empty_segment(m, family, inside):
     if inside:
-        yield from _SPLIT_MOVES(level, family, inside)
+        yield from _SPLIT_MOVES(m, family, inside)
         return
-    m = level.shape[1]
-    yield level, (), [(a, b) for a in range(m) for b in range(a + 1, m + 1)]
+    yield (), [(a, b) for a in range(m) for b in range(a + 1, m + 1)]
 
 
-def _reversal_m1_without_its_last_right_cut(level, family, inside):
+def _reversal_m1_without_its_last_right_cut(m, family, inside):
     if inside != 1:
-        yield from _SPLIT_MOVES(level, family, inside)
+        yield from _SPLIT_MOVES(m, family, inside)
         return
-    m = level.shape[1]
     for j in range(m):
-        yield level, (j,), [(min(b, j + 1), max(b, j + 1)) for b in range(m + 1)]
+        yield (j,), [(min(b, j + 1), max(b, j + 1)) for b in range(m + 1)]
 
 
 def _one_less(below, m, family):
@@ -297,11 +296,10 @@ class TestLevelIdentity:
 def _unchecked_counts(family, k):
     """The compact rows of each level of D_k, k >= 1, grown with
     `_downset_level` as the walk grows them but counted with no check."""
-    below = {1: engine.rows([(1,)], 1)}
+    below = {1: engine.keys(engine.rows([(1,)], 1))}
     for _ in range(k):
-        levels = {m: distance._downset_level(below, m, family) for m in range(max(below) + distance._MAX_INSIDE[family], 0, -1)}
-        below = {m: engine.from_keys(keys, m) for m, keys in levels.items()}
-    return {m: engine.compact_count(keys, m)[0] for m, keys in levels.items()}
+        below = {m: distance._downset_level(below, m, family) for m in range(max(below) + distance._MAX_INSIDE[family], 0, -1)}
+    return {m: engine.compact_count(keys, m)[0] for m, keys in below.items()}
 
 
 class TestCountsGate:

@@ -109,7 +109,7 @@ class TestBfsHistogram:
 )
 def test_gate_rows_past_b7_are_the_ball(family, n):
     # the rows the gate reads past B_7 reach the default ceiling on k, no
-    # further; pancake B_9 takes about 17 s and 1.4 GB on 2 cores
+    # further; pancake B_9 takes 17-20 s and 469 MB on 2 cores
     row = BFS_LAYERS[family][n - 1]
     assert len(row) == distance.DEFAULT_K_CEILING[family] + 1
     assert ball(n, len(row) - 1, family, n_ceiling=n) == row
