@@ -13,7 +13,6 @@ length m.  The operators act on all rows at once with int8 arithmetic:
     delete_column(l, i)   `perm.delete` of entry i (0-based) from every row
     split_column(l, i)    `perm.inflate` of entry i into a monotone pair
     compact_mask(l)       `perm.is_compact` of every row
-    expand(level)         the distinct single deletions of every row
 
 Rows are compared through `int64` keys with 5 bits per entry, first entry
 most significant.  Every entry but the last is stored as x + 16 (3..29
@@ -28,14 +27,14 @@ Distinct rows come from an in-place sort of the keys and a neighbour mask,
 then decoding the keys by shifts and masks; `np.unique` took over ten
 times as long on ten million keys.  `unique_keys` is the engine's only
 union, and a caller that needs rows decodes its keys with the length it
-already has, as `expand` and the closure do.  Its caller says how many
-rows the parts hold, counted from the same lists the parts come from, so
-every part's keys are written straight into one buffer, and each step of
-the union is one in-place sort of it (see `unique_keys`).  The codec is
-public for them, for the BFS oracle, which keeps its layers as sorted
-keys, and for `distance`, whose downset walk keeps every level as sorted
-keys, decodes them a block of rows at a time to grow the next class, and
-counts the compact rows of every level from its keys:
+already has.  Its caller says how many rows the parts hold, counted from
+the same lists the parts come from, so every part's keys are written
+straight into one buffer, and each step of the union is one in-place
+sort of it (see `unique_keys`).  The codec is public for the BFS oracle,
+which keeps its layers as sorted keys, and for `distance` and
+`gridclass`, whose downset walk and containment closure keep every level
+as sorted keys, decode them a block of rows at a time to grow or delete
+from, and count the compact rows of every level from its keys:
 
     keys(level, out)          the key of every row of a level, or of a
                               stack of levels, as one flat array, written
@@ -48,6 +47,9 @@ counts the compact rows of every level from its keys:
     compact_count(keys, m)    the compact rows of the level of length m
                               with these keys, and those of them that end
                               in +m, counted a block at a time
+    deletions(keys, m)        every single deletion of every row of that
+                              level, a block and a column at a time, as
+                              parts for the caller's union
 
 Levels are column-major where they are made in bulk: `from_keys` and
 `split_column` write them a column at a time, and `keys` reads them a
@@ -102,12 +104,12 @@ if TYPE_CHECKING:  # a tuple of ints; `perm` is loaded where one is parsed or pr
 # `distance` checks it before a class's first growth step.
 MAX_LENGTH = 13
 
-# Rows per block when a level's single deletions are keyed, and when rows
-# become tuples: this bounds the temporaries whatever the level size.
-_BLOCK_ROWS = 1 << 20
+# Rows per block when rows become tuples: this bounds the temporaries
+# whatever the level size.
 _TUPLE_BLOCK_ROWS = 1 << 14
-# Rows per block when keys are decoded to be counted (`compact_count`) or
-# grown from (`distance`'s downset walk), so no whole level is decoded.
+# Rows per block when keys are decoded to be counted (`compact_count`),
+# grown from (`distance`'s downset walk) or deleted from (`deletions`), so
+# no whole level is decoded.
 _COUNT_ROWS = 1 << 16
 # The most rows that `unique_keys` sorts at once; a larger union merges
 # batches into its result.  Every union of pancake k <= 9 and reversal
@@ -141,10 +143,22 @@ def check_length(m: int) -> None:
 
 
 def rows(perms: Iterable[SignedPerm], m: int) -> np.ndarray:
-    """The level holding the given permutations, all of length m, in order."""
+    """The level holding the given permutations, all of length m, in order.
+    A row whose absolute values are not exactly 1..m raises ValueError
+    naming it: the OR of 1 << |x| over a row, taken a column at a time in
+    `int16`, is 2 + 4 + ... + 2^m exactly when its m entries take m
+    distinct values in 1..m (numpy shifts by 16 or more, and by the
+    negative |-128| of `int8`, to 0, which no mask holds)."""
     check_length(m)
     listed = list(perms)
-    return np.array(listed, dtype=np.int8).reshape(len(listed), m)
+    level = np.array(listed, dtype=np.int8).reshape(len(listed), m)
+    bits = np.zeros(len(level), dtype=np.int16)
+    for column in level.T:
+        bits |= np.left_shift(np.int16(1), np.abs(column))
+    wrong = np.flatnonzero(bits != (1 << (m + 1)) - 2)
+    if len(wrong):
+        raise ValueError(f"absolute values are not exactly 1..{m}: {listed[wrong[0]]!r}")
+    return level
 
 
 def levels(perms: Iterable[SignedPerm]) -> dict[int, np.ndarray]:
@@ -265,6 +279,16 @@ def compact_count(keys: np.ndarray, m: int) -> tuple[int, int]:
     return compact, ends
 
 
+def deletions(keys: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """Every single deletion of every row of the level of length m with
+    these keys, one block (`blocks`) and one column at a time: m parts of
+    length m - 1 per block, `len(keys) * m` rows in all, with repeats for
+    the caller's union to drop."""
+    for block in blocks(keys, m):
+        for i in range(m):
+            yield delete_column(block, i)
+
+
 def unique_keys(parts: Iterable[np.ndarray], rows: int) -> np.ndarray:
     """
     The sorted distinct keys of the rows of levels of one length, at least
@@ -331,16 +355,3 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
         keys[count : count + len(kept)] = kept
         count += len(kept)
     return keys[:count]
-
-
-def expand(level: np.ndarray) -> np.ndarray:
-    """
-    The distinct single deletions of every row, in lexicographic order,
-    deleted one column and one block of rows at a time.
-    """
-    deletions = (
-        delete_column(level[start : start + _BLOCK_ROWS], i)
-        for i in range(level.shape[1])
-        for start in range(0, len(level), _BLOCK_ROWS)
-    )
-    return from_keys(unique_keys(deletions, level.size), level.shape[1] - 1)

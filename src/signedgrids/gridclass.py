@@ -4,29 +4,32 @@ representative extraction, and the enumerating polynomial.
 
 The closure walks the union of downsets of arbitrary generators by
 repeated single-entry deletion.  Because deletion drops the length by
-exactly one, the global visited set splits into per-length levels and each
-permutation is expanded exactly once.  `_closure` is one generator that
-yields the levels longest first: level m is the union (`engine.unique_keys`,
-sized from the levels it joins) of the generators of length m and the
-single deletions of level m + 1 (`engine.expand`, whose union holds every
-row's deletions), so it holds only two adjacent levels at a time, and
-`complete_and_compact` and `closure_histogram` are each one loop over it.
-The distance classes do not come through here: `distance` grows their
-downsets move by move, which makes far fewer candidates than deleting
-each entry of each level.
-Each level is an `int8` array of the `engine` module, one row per
-permutation, so the deletions, their deduplication and the compactness
-scan run on whole levels in numpy; permutations are limited to
-`engine.MAX_LENGTH` (13) entries.  `engine`, with numpy, is loaded on the
-first closure and `perm` on the first text conversion, so a query
-answered from the store, which needs only `LengthHistogram`, loads
-neither.
+exactly one, the global visited set splits into per-length levels and the
+single deletions of each permutation are taken exactly once.  `_closure` is one generator that
+yields the levels longest first, each as its sorted distinct `engine`
+keys, the level format of `distance`'s downset walk: level m is one union
+(`engine.unique_keys`) of the generators of length m and the single
+deletions of level m + 1 (`engine.deletions`), sized from the two, so it
+holds only two adjacent levels at a time, and `complete_and_compact` and
+`closure_histogram` are each one loop over it.  The distance classes do
+not come through here: `distance` grows their downsets move by move,
+which makes far fewer candidates than deleting each entry of each level.
+A level's keys are decoded one block of rows at a time (`engine.blocks`)
+to delete from, to count (`engine.compact_count`) or to turn into tuples,
+so no level is decoded whole, and the deletions, their deduplication and
+the compactness scan run on whole blocks in numpy; permutations are
+limited to `engine.MAX_LENGTH` (13) entries, and a generator that is not
+a signed permutation raises ValueError (`engine.rows`).  `engine`, with
+numpy, is loaded on the first closure and `perm` on the first text
+conversion, so a query answered from the store, which needs only
+`LengthHistogram`, loads neither.
 
 Non-compact permutations are still traversed (their sub-permutations may
 be compact) but only compact ones are counted or emitted.
 """
 from __future__ import annotations
 
+from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
@@ -51,26 +54,24 @@ class LengthHistogram(NamedTuple):
         return sum(self.counts.values()) + (1 if self.has_epsilon else 0)
 
 
-def _closure(perms: Iterable[SignedPerm]) -> Iterator[np.ndarray]:
+def _closure(perms: Iterable[SignedPerm]) -> Iterator[tuple[np.ndarray, int]]:
     """
     The levels of the downset of `perms`, from the longest down to length
-    1, each of distinct rows in lexicographic order.  A seed of length m
-    joins level m's union, and a level with no seed of its length is the
-    single deletions of the level above.  Besides the seeds still to come,
-    only the current level is held here across a yield.
+    1, as (sorted distinct keys, length m).  Level m is one union of the
+    seeds of length m, if any, and the single deletions of level m + 1,
+    `len(seeds) + len(keys) * (m + 1)` rows in all.  Besides the seeds
+    still to come, only the current level's keys are held here across a
+    yield.
     """
     from . import engine
 
-    seeds = engine.levels(perms)
-    level = None
+    seeds, keys = engine.levels(perms), ()  # no level above the longest seed
     for m in range(max(seeds, default=0), 0, -1):
-        if m in seeds:
-            parts = [seeds.pop(m)] if level is None else [level, seeds.pop(m)]
-            level = engine.from_keys(engine.unique_keys(parts, sum(map(len, parts))), m)
-            del parts
-        yield level
-        if m > 1:
-            level = engine.expand(level)
+        seed = seeds.pop(m, engine.rows([], m))
+        rows = len(seed) + len(keys) * (m + 1)
+        keys = engine.unique_keys(chain([seed], engine.deletions(keys, m + 1)), rows)
+        del seed
+        yield keys, m
 
 
 def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
@@ -83,9 +84,9 @@ def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
     from . import engine
 
     members: list[SignedPerm] = [()]  # the empty permutation is in every downset
-    for level in _closure(perms):
-        members.extend(engine.to_tuples(level[engine.compact_mask(level)]))
-        del level  # before the next level is built
+    for keys, m in _closure(perms):
+        for block in engine.blocks(keys, m):
+            members.extend(engine.to_tuples(block[engine.compact_mask(block)]))
     return frozenset(members)
 
 
@@ -97,11 +98,10 @@ def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:
     from . import engine
 
     counts: dict[int, int] = {}
-    for level in _closure(perms):
-        count = int(engine.compact_mask(level).sum())
+    for keys, m in _closure(perms):
+        count = engine.compact_count(keys, m)[0]
         if count:
-            counts[level.shape[1]] = count
-        del level  # before the next level is built
+            counts[m] = count
     return LengthHistogram(counts, True)
 
 

@@ -24,6 +24,13 @@ class TestPermsetFiles:
         cache.write_permset(path, members)
         assert cache.read_permset(path) == members
 
+    def test_non_permutation_refused(self, tmp_path):
+        # `2 2` would be written as a member that no signed permutation is
+        path = tmp_path / "s.perms"
+        with pytest.raises(ValueError, match=r"^absolute values are not exactly 1\.\.2: \(2, 2\)$"):
+            cache.write_permset(path, frozenset({(1,), (2, 2)}))
+        assert not path.exists()
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.perms"
         path.write_text("1 2\n")

@@ -363,14 +363,12 @@ def test_downset_levels_equal_deletion_closure(monkeypatch, family, k):
     monkeypatch.setattr(engine, "compact_count", kept)
     distance._computed_histograms(family, k)
     monkeypatch.undo()
-    expected = [distance.generator_set(family, k)]
-    while expected[-1].shape[1] > 1:
-        expected.append(engine.expand(expected[-1]))
+    expected = list(gridclass._closure(engine.to_tuples(distance.generator_set(family, k))))
     if k == 0:  # D_0 = {1} is the walk's base, counted by no step
         levels = [(1, engine.keys(engine.rows([(1,)], 1)))]
-    assert [m for m, _ in levels] == [level.shape[1] for level in expected]
-    for (m, keys), want in zip(levels, expected):
-        assert np.array_equal(keys, engine.keys(want)), f"{family.value} k={k}, length {m}"
+    assert [m for m, _ in levels] == [m for _, m in expected]
+    for (m, keys), (want, _) in zip(levels, expected):
+        assert np.array_equal(keys, want), f"{family.value} k={k}, length {m}"
 
 
 class TestDistancePolynomial:

@@ -1,9 +1,11 @@
 """Closure under containment, compact representatives, enumeration."""
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from signedgrids import engine
+from signedgrids import engine, gridclass
 from signedgrids.gridclass import (
     LengthHistogram,
     class_polynomial,
@@ -64,6 +66,62 @@ class TestCompleteAndCompact:
                 q = delete(p, i)
                 if is_compact(q):
                     assert q in closed
+
+
+class TestBlockedClosure:
+    # seeds of lengths 6, 4, 3 and 1: 2 -1 3 lies inside the first, and
+    # -2 4 -1 3 comes twice
+    SEEDS = [(3, -1, 4, -6, 2, 5), (-2, 4, -1, 3), (2, -1, 3), (-2, 4, -1, 3), (-1,)]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_deletions_across_block_edges(self, monkeypatch, block):
+        monkeypatch.setattr(engine, "_COUNT_ROWS", block)
+        assert (2, -1, 3) in oracles.downset_bruteforce(self.SEEDS[0])
+        expected = {q for p in self.SEEDS for q in oracles.downset_bruteforce(p) if is_compact(q)}
+        assert complete_and_compact(self.SEEDS) == expected
+        assert closure_histogram(self.SEEDS) == length_histogram(expected)
+
+    def test_one_union_per_level_and_no_whole_decode(self, monkeypatch):
+        # level m is one union of its seeds and the single deletions of
+        # level m + 1, and every decode is at most one block of 7 keys
+        monkeypatch.setattr(engine, "_COUNT_ROWS", 7)
+        unions, decoded = [], []
+        unique_keys, from_keys = engine.unique_keys, engine.from_keys
+
+        def recording_union(parts, rows):
+            keys = unique_keys(parts, rows)
+            unions.append((rows, len(keys)))
+            return keys
+
+        def recording_from_keys(keys, m):
+            decoded.append(len(keys))
+            return from_keys(keys, m)
+
+        monkeypatch.setattr(engine, "unique_keys", recording_union)
+        monkeypatch.setattr(engine, "from_keys", recording_from_keys)
+        complete_and_compact(self.SEEDS)
+        closure_histogram(self.SEEDS)
+        unions.clear()
+        levels = [(m, len(keys)) for keys, m in gridclass._closure(self.SEEDS)]
+        assert [m for m, _ in levels] == [6, 5, 4, 3, 2, 1]
+        seeds, above = Counter(map(len, self.SEEDS)), [0] + [n for _, n in levels[:-1]]
+        assert unions == [(seeds[m] + n * (m + 1), size) for (m, size), n in zip(levels, above)]
+        assert max(size for _, size in levels) > 7 and max(decoded) == 7
+
+
+class TestNonPermutationsRefused:
+    # each would count or list rows that are no signed permutations
+    def test_closure_histogram(self):
+        with pytest.raises(ValueError, match=r"^absolute values are not exactly 1\.\.1: \(3,\)$"):
+            closure_histogram([(3,)])
+
+    def test_complete_and_compact(self):
+        with pytest.raises(ValueError, match=r"^absolute values are not exactly 1\.\.3: \(2, 2, -5\)$"):
+            complete_and_compact([(2, 1, 3), (2, 2, -5)])
+
+    def test_enumerate_gridclass(self):
+        with pytest.raises(ValueError, match=r"^absolute values are not exactly 1\.\.2: \(0, 2\)$"):
+            enumerate_gridclass([(0, 2)])
 
 
 class TestLengthHistogram:

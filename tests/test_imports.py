@@ -162,7 +162,7 @@ def test_oracle_keeps_its_own_moves():
     # none of their move code
     package = ROOT / "src" / "signedgrids"
     source = (package / "oracle.py").read_text()
-    names = ["delete_column", "split_column", "expand", "compact_mask"]
+    names = ["delete_column", "split_column", "deletions", "compact_mask"]
     names += ["_reverse_segments", "_split_moves", "_gathers", "_downset_level", "_computed_histograms"]
     assert re.findall(rf"\b(?:{'|'.join(names)})\b", source) == []
     # a renamed or deleted name would leave the guard checking nothing

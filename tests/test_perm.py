@@ -568,10 +568,14 @@ class TestArrayEngine:
         compact = [p for p in self.LEVEL if is_compact(p)]
         assert engine.compact_count(keys, 4) == (len(compact), sum(p[-1] == 4 for p in compact))
 
-    def test_expand_is_every_single_deletion(self):
+    def test_expand_is_every_single_deletion(self, monkeypatch):
+        # the union of `deletions`, decoded in blocks of 2 keys, the last
+        # one partial
+        monkeypatch.setattr(engine, "_COUNT_ROWS", 2)
         members = [(4, -1, 3, -2), (-2, 1, 4, 3), (1, 2, 3, 4)]
         expected = sorted({delete(p, i) for p in members for i in range(1, 5)})
-        assert engine.to_tuples(engine.expand(engine.rows(members, 4))) == expected
+        union = engine.unique_keys(engine.deletions(engine.keys(engine.rows(members, 4)), 4), 12)
+        assert engine.to_tuples(engine.from_keys(union, 3)) == expected
 
     def test_longest_rows_keep_exact_keys(self):
         # 13 12 ... 1 has the largest key of length 13, close to 27**13
