@@ -24,7 +24,7 @@ import itertools
 import os
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .gridclass import LengthHistogram, PermSet
 
@@ -38,9 +38,6 @@ HIST_HEADER = "# signedgrids hist v1"
 
 _EPSILON_LINES = {"epsilon 0": False, "epsilon 1": True}
 _COUNT_LINE = re.compile(r"([1-9][0-9]*) ([1-9][0-9]*)")
-
-# Rows per block of text when a level is written.
-_BLOCK_ROWS = 1 << 14
 
 
 def pi_path(cache_dir: Path, family: Family, k: int) -> Path:
@@ -79,40 +76,40 @@ def _write(path: Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def write_levels(path: Path, levels: Iterable[np.ndarray]) -> None:
-    """Write `engine` levels, one per length and each of sorted, distinct
-    rows, in the PermSet text format: shorter levels first, each in its
-    own row order."""
-    blocks = map(_level_text, sorted(levels, key=lambda level: level.shape[1]))
-    _write(path, itertools.chain([(PERMS_HEADER + "\n").encode()], *blocks))
+def write_levels(path: Path, blocks: Iterable[np.ndarray]) -> None:
+    """Write blocks of `engine` rows, of one length each, in the PermSet
+    text format, in the order given: the caller gives them shortest
+    first, each length's blocks of sorted, distinct rows in row order, as
+    `engine.blocks` decodes a level's keys."""
+    _write(path, itertools.chain([(PERMS_HEADER + "\n").encode()], map(_level_text, blocks)))
 
 
-def _level_text(level: np.ndarray) -> Iterator[bytes]:
-    """The lines of one level in row order, as bytes, a block of rows at a
-    time: each entry x is written through a table from (last column, x) to
-    its text and the space or line end after it, padded with zero bytes to
-    one width; the padding is then dropped."""
+def _level_text(block: np.ndarray) -> bytes:
+    """The lines of one block of rows in row order, as bytes: each entry x
+    is written through a table from (last column, x) to its text and the
+    space or line end after it, padded with zero bytes to one width; the
+    padding is then dropped."""
     import numpy as np
 
-    n, m = level.shape
+    n, m = block.shape
     if m == 0:
-        yield b"\n" * n
-        return
+        return b"\n" * n
     tokens = [f"{x}{end}".encode() for end in " \n" for x in range(-m, m + 1)]
     width = max(map(len, tokens))
     table = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in tokens), np.uint8).reshape(len(tokens), width)
     # entry x is looked up as x + m, in the last column as x + 3m + 1
     offset = np.array([m] * (m - 1) + [3 * m + 1], dtype=np.int8)
-    for start in range(0, n, _BLOCK_ROWS):
-        yield table.take(level[start : start + _BLOCK_ROWS] + offset, axis=0).tobytes().translate(None, b"\0")
+    return table.take(block + offset, axis=0).tobytes().translate(None, b"\0")
 
 
 def write_permset(path: Path, members: PermSet) -> None:
     """Write tuples of length up to `engine.MAX_LENGTH` (13) through
-    `write_levels`, sorted."""
+    `write_levels`, sorted, shortest first, each length's level a block of
+    rows at a time (`engine.chunks`)."""
     from . import engine
 
-    write_levels(path, engine.levels(sorted(members)).values())
+    levels = sorted(engine.levels(sorted(members)).items())
+    write_levels(path, (block for _, level in levels for block in engine.chunks(level)))
 
 
 def read_permset(path: Path) -> PermSet:

@@ -48,8 +48,10 @@ level is held in one format, the sorted distinct keys that leave the
 union (`engine.unique_keys`).  `_gathers` decodes a source level one
 block of rows at a time and runs every plan of that level on the block,
 and every level is counted from its keys a block of rows at a time
-(`engine.compact_count`), so the walk decodes no level whole; only Pi_k
-is, once grown (`generator_set`) or for the store's export.
+(`engine.compact_count`), so the walk decodes no level whole, and
+neither does anything else: Pi_k stays sorted keys (`generator_set`)
+until it is turned into tuples (`pancake_pi`, `reversal_pi`) or text
+(the store's export), one block of `engine.blocks` at a time.
 
 Every distance class satisfies two facts that its histogram can show.
 Let S be the compact members of the class, the empty permutation
@@ -92,14 +94,14 @@ pancake k = 10, the leading coefficient) are deg + 1 conditions, so the
 gate fixes every class's polynomial, and with it the histogram.  A
 stored histogram that fails is refused naming the file, and only after
 its polynomial passes is a computed class in the range written:
-`pi_k.perms` (k >= 1), an export that is never read back, decoded from
-the keys of Pi_k that the walk kept for it, then `S_k.hist` last, so a
-stored histogram means both files are whole.  The walk keeps those keys
-only for the classes a store will get, so a request with no store holds
-nothing extra.  Every step acts on blocks of `engine` rows (int8
-arrays, one row per permutation) and on their keys, so Pi_k is limited
-to `engine.MAX_LENGTH` (13) entries, and a longer Pi_k is refused
-before the first growth step.
+`pi_k.perms` (k >= 1), an export that is never read back, decoded a
+block at a time from the keys of Pi_k that the walk kept for it, then
+`S_k.hist` last, so a stored histogram means both files are whole.  The
+walk keeps those keys only for the classes a store will get, so a
+request with no store holds nothing extra.  Every step acts on blocks
+of `engine` rows (int8 arrays, one row per permutation) and on their
+keys, so Pi_k is limited to `engine.MAX_LENGTH` (13) entries, and a
+longer Pi_k is refused before the first growth step.
 `engine`, with numpy, is loaded when Pi_k or its downset is first
 computed, and `perm` on the first sorting-sequence translation, so a
 query answered from the store loads neither.  The ceiling on k lives
@@ -109,6 +111,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache, partial
+from itertools import chain
 from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator, Sequence
@@ -286,20 +289,19 @@ def _gathers(below: dict[int, np.ndarray], plans: dict[int, list[Plan]]) -> Iter
 
 
 def generator_set(family: Family, k: int) -> np.ndarray:
-    """Pi_k as an `engine` level, grown from Pi_0 one top level at a time
-    as sorted keys and decoded once at the end; no file is read or
-    written.  A Pi_k longer than the engine's limit raises ValueError
-    before the first step."""
+    """The sorted keys of Pi_k (`engine.keys`), grown from Pi_0 one top
+    level at a time; no file is read or written.  A Pi_k longer than the
+    engine's limit raises ValueError before the first step."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     from . import engine
 
     engine.check_length(_generator_length(family, k))
-    m, keys = 1, engine.keys(engine.rows([(1,)], 1))
+    keys = engine.keys(engine.rows([(1,)], 1))
     # m runs over the lengths of Pi_1, ..., Pi_k
     for m in range(1 + _MAX_INSIDE[family], _generator_length(family, k) + 1, _MAX_INSIDE[family]):
         keys = _downset_level({m - _MAX_INSIDE[family]: keys}, m, family)
-    return engine.from_keys(keys, m)
+    return keys
 
 
 def pancake_pi(k: int) -> gridclass.PermSet:
@@ -308,7 +310,7 @@ def pancake_pi(k: int) -> gridclass.PermSet:
     Pi_{k+1} = { f_i(pi inflated by e_i + 1) : pi in Pi_k, 1 <= i <= len(pi) }.
     Every member has length k+1.
     """
-    return _tuples(generator_set(Family.PANCAKE, k))
+    return _tuples(Family.PANCAKE, k)
 
 
 def reversal_pi(k: int) -> gridclass.PermSet:
@@ -318,13 +320,18 @@ def reversal_pi(k: int) -> gridclass.PermSet:
                  pi in Pi_k, 1 <= i <= j <= len(pi) }.
     Every member has length 2k+1.
     """
-    return _tuples(generator_set(Family.REVERSAL, k))
+    return _tuples(Family.REVERSAL, k)
 
 
-def _tuples(level: np.ndarray) -> gridclass.PermSet:
+def _tuples(family: Family, k: int) -> gridclass.PermSet:
+    """Pi_k as tuples, added to the set one block of its keys at a time
+    (`engine.blocks`), with the cyclic collector paused throughout (see
+    `engine`'s module docstring)."""
     from . import engine
 
-    return frozenset(engine.to_tuples(level))
+    blocks = engine.blocks(generator_set(family, k), _generator_length(family, k))
+    with engine.collector_paused():
+        return frozenset(chain.from_iterable(map(engine.to_tuples, blocks)))
 
 
 def _generator_length(family: Family, k: int) -> int:
@@ -402,9 +409,9 @@ def distance_classes(
     `check_polynomial`, then the empty permutation with P(0) = 1 (see the
     module docstring), then `check_counts`.  A stored histogram that fails
     raises ValueError naming the file.  Only a computed class in `ks` that
-    passes is written to the store: Pi_k, decoded from the keys the walk
-    kept, as `pi_k.perms` (k >= 1), an export the program never reads
-    back, and then `S_k.hist`, last.
+    passes is written to the store: Pi_k, decoded a block at a time from
+    the keys the walk kept, as `pi_k.perms` (k >= 1), an export the
+    program never reads back, and then `S_k.hist`, last.
     """
     for k in ks:
         check_k(family, k, k_ceiling)
@@ -428,7 +435,7 @@ def distance_classes(
             if k:
                 from . import engine
 
-                cache.write_levels(cache.pi_path(cache_dir, family, k), [engine.from_keys(tops.pop(k), _generator_length(family, k))])
+                cache.write_levels(cache.pi_path(cache_dir, family, k), engine.blocks(tops.pop(k), _generator_length(family, k)))
             cache.write_histogram(path, hist)
         classes.append((hist, p))
     return classes

@@ -8,8 +8,9 @@ length m.  The operators act on all rows at once with int8 arithmetic:
 
     rows(perms, m)        tuples of length m -> a level
     levels(perms)         tuples of any lengths -> {length: level}
-    to_tuples(level)      a level -> tuples that share one int object per
-                          value, built with the cyclic collector paused
+    to_tuples(block)      one block of a level (`blocks`) -> tuples that
+                          share one int object per value, built with the
+                          cyclic collector paused
     delete_column(l, i)   `perm.delete` of entry i (0-based) from every row
     split_column(l, i)    `perm.inflate` of entry i into a monotone pair
     compact_mask(l)       `perm.is_compact` of every row
@@ -31,16 +32,22 @@ already has.  Its caller says how many rows the parts hold, counted from
 the same lists the parts come from, so every part's keys are written
 straight into one buffer, and each step of the union is one in-place
 sort of it (see `unique_keys`).  The codec is public for the BFS oracle,
-which keeps its layers as sorted keys, and for `distance` and
-`gridclass`, whose downset walk and containment closure keep every level
-as sorted keys, decode them a block of rows at a time to grow or delete
-from, and count the compact rows of every level from its keys:
+which keeps its layers as sorted keys, and for `distance`, `gridclass`
+and `cache`.  Every level that the downset walk and the containment
+closure build, Pi_k included, is sorted keys, and its rows exist only a
+block of `_BLOCK_ROWS` rows at a time, decoded by `blocks` alone: each
+block is grown from, deleted from or counted, or, for Pi_k and the
+compact rows of a closure, turned into tuples (`to_tuples`) or written
+as text (`cache.write_levels`):
 
     keys(level, out)          the key of every row of a level, or of a
                               stack of levels, as one flat array, written
                               into `out` if it is given
     from_keys(keys, m)        keys -> a level of length m
-    blocks(keys, m)           the same level, a block of rows at a time
+    chunks(array)             views of a level's rows, or of keys, a
+                              block of `_BLOCK_ROWS` at a time
+    blocks(keys, m)           the level of length m, a chunk of keys at a
+                              time, through `from_keys`
     unique_keys(parts, rows)  the sorted distinct keys of the rows of
                               same-length levels or stacks of them, at
                               least one part, `rows` rows in all
@@ -57,13 +64,19 @@ column at a time.  A stack is a (segments, rows, m) array, as the downset
 walk's gathers come: `keys` takes each column of all its levels in one
 pass, so a gather costs one call however many segments it holds.
 
-`to_tuples` makes one tuple per row, hundreds of thousands for a large
-Pi_k.  They hold only ints and so form no cycle, and the cyclic collector
-is paused while they are built: left on, it would pass over the young
-tuples every few hundred allocations and over the whole heap now and
-then.  The collection that falls due meanwhile runs once, at the first
-allocation the collector tracks after it is switched back on, in the
-caller, and finds every new tuple free of cycles.
+`to_tuples` makes one tuple per row of a block, up to `_BLOCK_ROWS` a
+call and hundreds of thousands over a large Pi_k.  They hold only ints
+and so form no cycle, and the cyclic collector is paused while they are
+built (`collector_paused`): left on, it would pass over the young tuples
+every few hundred allocations and over the whole heap now and then.  The
+collection that falls due meanwhile runs once, at the first allocation
+the collector tracks after it is switched back on, in the caller, and
+finds every new tuple free of cycles.  A caller that fills one set from
+many blocks, as `distance` does with Pi_k and `gridclass` with a
+closure's compact members, pauses the collector around the whole fill
+too: a collection after each block would also pass over the set filled
+so far, and those collections took about a quarter of `reversal_pi(6)`'s
+time.
 
 numpy is imported at the top of this module alone; `distance`,
 `gridclass`, `oracle` and `cache` import this module only inside the
@@ -104,13 +117,16 @@ if TYPE_CHECKING:  # a tuple of ints; `perm` is loaded where one is parsed or pr
 # `distance` checks it before a class's first growth step.
 MAX_LENGTH = 13
 
-# Rows per block when rows become tuples: this bounds the temporaries
-# whatever the level size.
-_TUPLE_BLOCK_ROWS = 1 << 14
-# Rows per block when keys are decoded to be counted (`compact_count`),
-# grown from (`distance`'s downset walk) or deleted from (`deletions`), so
-# no whole level is decoded.
-_COUNT_ROWS = 1 << 16
+# Rows per block wherever a level's keys are decoded (`blocks`): to be
+# counted (`compact_count`), grown from (`distance`'s downset walk),
+# deleted from (`deletions`), turned into tuples (`to_tuples`) or written
+# as text (`cache.write_levels`), so no level is decoded whole; keys per
+# block when `_distinct` moves the distinct keys forward; and rows per
+# block when `cache.write_permset` writes a level of tuples.  Each block
+# is cut by `chunks`.  The block bounds the temporaries whatever the
+# level size: 2^16 rows gave the tuples of reversal Pi_6 a peak RSS of
+# 69.9 MB against 59.3 MB for 2^14 (2-core Xeon, Python 3.11, numpy 2.4).
+_BLOCK_ROWS = 1 << 14
 # The most rows that `unique_keys` sorts at once; a larger union merges
 # batches into its result.  Every union of pancake k <= 9 and reversal
 # k <= 5 is one sort (the largest, pancake D_9(8), has 1,642,772 rows).
@@ -120,8 +136,6 @@ _COUNT_ROWS = 1 << 16
 # B_7 search 11 MB lower, at 56 MB against 67 (medians of 5 runs, 2-core
 # Xeon, Python 3.11, numpy 2.4).
 _SORT_KEYS = 1 << 21
-# Keys per block when `_distinct` moves the distinct keys forward.
-_DISTINCT_KEYS = 1 << 16
 
 # The key layout: 5 bits per entry, each entry x but the last stored as
 # x + _OFFSET.
@@ -169,26 +183,31 @@ def levels(perms: Iterable[SignedPerm]) -> dict[int, np.ndarray]:
     return {m: rows(ps, m) for m, ps in by_length.items()}
 
 
-def to_tuples(level: np.ndarray) -> list[SignedPerm]:
-    """
-    The rows of a level as tuples whose entries are shared int objects,
-    built a block of rows at a time by a `zip` over one list of shared ints
-    per column, with the cyclic collector paused (see the module
-    docstring); its earlier state is restored however the build ends.
-    """
-    if not level.shape[1]:
-        return [()] * len(level)
-    out: list[SignedPerm] = []
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for start in range(0, len(level), _TUPLE_BLOCK_ROWS):
-            block = level[start : start + _TUPLE_BLOCK_ROWS].astype(np.intp) + MAX_LENGTH
-            out.extend(zip(*(_SHARED_INTS[column].tolist() for column in block.T)))
-    finally:
-        if enabled:
+class collector_paused:
+    """A context in which the cyclic collector is paused (see the module
+    docstring); its earlier state is restored however the context ends,
+    and nothing the collector tracks is allocated once it is back on."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self.enabled:
             gc.enable()
-    return out
+
+
+def to_tuples(block: np.ndarray) -> list[SignedPerm]:
+    """
+    The rows of one block (`blocks`) as tuples whose entries are shared
+    int objects, built by a `zip` over one list of shared ints per column,
+    with the cyclic collector paused (`collector_paused`).
+    """
+    if not block.shape[1]:
+        return [()] * len(block)
+    with collector_paused():
+        shifted = block.astype(np.intp) + MAX_LENGTH
+        return list(zip(*(_SHARED_INTS[column].tolist() for column in shifted.T)))
 
 
 def delete_column(level: np.ndarray, i: int) -> np.ndarray:
@@ -260,11 +279,18 @@ def from_keys(keys: np.ndarray, m: int) -> np.ndarray:
     return columns.T
 
 
+def chunks(array: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of `array` (a level, or keys) `_BLOCK_ROWS` entries along its
+    first axis at a time, the last one partial: the one block loop."""
+    for start in range(0, len(array), _BLOCK_ROWS):
+        yield array[start : start + _BLOCK_ROWS]
+
+
 def blocks(keys: np.ndarray, m: int) -> Iterator[np.ndarray]:
-    """The level of length m with these keys, decoded one block of
-    `_COUNT_ROWS` rows at a time, so no whole level is ever decoded."""
-    for start in range(0, len(keys), _COUNT_ROWS):
-        yield from_keys(keys[start : start + _COUNT_ROWS], m)
+    """The level of length m with these keys, decoded one block (`chunks`)
+    of keys at a time, in key order: the one way a level's keys become
+    rows, so no whole level is ever decoded."""
+    return (from_keys(part, m) for part in chunks(keys))
 
 
 def compact_count(keys: np.ndarray, m: int) -> tuple[int, int]:
@@ -345,8 +371,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     keys land at or before the block itself, so no later block is
     touched."""
     count, last = 0, None  # the keys kept so far, and the last key read
-    for start in range(0, len(keys), _DISTINCT_KEYS):
-        block = keys[start : start + _DISTINCT_KEYS]
+    for block in chunks(keys):
         keep = np.empty(len(block), dtype=bool)
         keep[0] = last is None or block[0] != last
         np.not_equal(block[1:], block[:-1], out=keep[1:])

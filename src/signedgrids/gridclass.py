@@ -84,10 +84,11 @@ def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
     from . import engine
 
     members: list[SignedPerm] = [()]  # the empty permutation is in every downset
-    for keys, m in _closure(perms):
-        for block in engine.blocks(keys, m):
-            members.extend(engine.to_tuples(block[engine.compact_mask(block)]))
-    return frozenset(members)
+    with engine.collector_paused():  # across the blocks, as `distance` fills Pi_k
+        for keys, m in _closure(perms):
+            for block in engine.blocks(keys, m):
+                members.extend(engine.to_tuples(block[engine.compact_mask(block)]))
+        return frozenset(members)
 
 
 def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:

@@ -6,8 +6,8 @@ import pytest
 
 from signedgrids import cache, distance, engine
 from signedgrids.cli import main
-from signedgrids.distance import Family, generator_set
-from signedgrids.gridclass import LengthHistogram
+from signedgrids.distance import Family, distance_classes, generator_set, pancake_pi, reversal_pi
+from signedgrids.gridclass import LengthHistogram, complete_and_compact
 from signedgrids.perm import all_perms, format_perm
 
 
@@ -243,6 +243,25 @@ class TestPackedFiles:
         expected = [cache.PERMS_HEADER, *map(format_perm, sorted(members, key=lambda p: (len(p), p)))]
         assert path.read_text() == "".join(line + "\n" for line in expected)
 
+    def test_written_a_block_at_a_time(self, tmp_path, monkeypatch):
+        # with blocks of 7 rows, the 48 rows of length 3 reach the text in
+        # 7 blocks, and the bytes are those of whole levels
+        members = frozenset({(), (1,), *all_perms(3)})
+        whole = tmp_path / "whole.perms"
+        cache.write_permset(whole, members)
+        shapes, level_text = [], cache._level_text
+
+        def recording_level_text(block):
+            shapes.append(block.shape)
+            return level_text(block)
+
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(cache, "_level_text", recording_level_text)
+        path = tmp_path / "p.perms"
+        cache.write_permset(path, members)
+        assert path.read_bytes() == whole.read_bytes()
+        assert shapes == [(1, 0), (1, 1), *[(7, 3)] * 6, (6, 3)]
+
     def test_longest_level_same_bytes_as_tuple_writer(self, tmp_path):
         # a length-13 level uses every entry -13..13, so the table index
         # peaks at 53, for 13 in the last column
@@ -279,5 +298,44 @@ GROWN_DIGESTS = {
 @pytest.mark.parametrize("family,k", list(GROWN_DIGESTS), ids=lambda v: str(v))
 def test_grown_generator_sets_are_pinned(tmp_path, family, k):
     path = tmp_path / "pi.perms"
-    cache.write_levels(path, [generator_set(family, k)])
+    cache.write_levels(path, engine.blocks(generator_set(family, k), distance._generator_length(family, k)))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GROWN_DIGESTS[family, k]
+
+
+class TestNoWholeDecode:
+    # With blocks of 7 rows, every decode of a key level is one block of at
+    # most 7 keys (`engine.blocks`), Pi_k's included, and what is built
+    # from the blocks, tuples or text, is what whole levels give.
+    @staticmethod
+    def _record(monkeypatch):
+        decoded, from_keys = [], engine.from_keys
+
+        def recording_from_keys(keys, m):
+            decoded.append(len(keys))
+            return from_keys(keys, m)
+
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(engine, "from_keys", recording_from_keys)
+        return decoded
+
+    def test_every_decode_is_one_block(self, tmp_path, monkeypatch):
+        pancake, reversal = pancake_pi(5), reversal_pi(3)
+        compact = complete_and_compact(reversal)
+        decoded = self._record(monkeypatch)
+        assert pancake_pi(5) == pancake and len(pancake) > 7
+        assert reversal_pi(3) == reversal and len(reversal) > 7
+        assert complete_and_compact(reversal) == compact
+        for family, k in ((Family.PANCAKE, 5), (Family.REVERSAL, 4)):
+            distance_classes(family, range(k + 1), cache_dir=tmp_path)
+        assert _digests(tmp_path) == COLD_DIGESTS
+        assert max(decoded) == 7
+
+    @pytest.mark.parametrize("family,k", list(GROWN_DIGESTS), ids=lambda v: str(v))
+    def test_grown_export_across_block_edges(self, tmp_path, monkeypatch, family, k):
+        # Pi_k grown in full-size blocks, written in blocks of 7 rows
+        keys, length = generator_set(family, k), distance._generator_length(family, k)
+        decoded = self._record(monkeypatch)
+        path = tmp_path / "pi.perms"
+        cache.write_levels(path, engine.blocks(keys, length))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GROWN_DIGESTS[family, k]
+        assert max(decoded) == 7 and sum(decoded) == len(keys)

@@ -1,11 +1,12 @@
 """Closure under containment, compact representatives, enumeration."""
+import gc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from signedgrids import engine, gridclass
+from signedgrids import distance, engine, gridclass
 from signedgrids.gridclass import (
     LengthHistogram,
     class_polynomial,
@@ -75,7 +76,7 @@ class TestBlockedClosure:
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_deletions_across_block_edges(self, monkeypatch, block):
-        monkeypatch.setattr(engine, "_COUNT_ROWS", block)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", block)
         assert (2, -1, 3) in oracles.downset_bruteforce(self.SEEDS[0])
         expected = {q for p in self.SEEDS for q in oracles.downset_bruteforce(p) if is_compact(q)}
         assert complete_and_compact(self.SEEDS) == expected
@@ -84,7 +85,7 @@ class TestBlockedClosure:
     def test_one_union_per_level_and_no_whole_decode(self, monkeypatch):
         # level m is one union of its seeds and the single deletions of
         # level m + 1, and every decode is at most one block of 7 keys
-        monkeypatch.setattr(engine, "_COUNT_ROWS", 7)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 7)
         unions, decoded = [], []
         unique_keys, from_keys = engine.unique_keys, engine.from_keys
 
@@ -107,6 +108,35 @@ class TestBlockedClosure:
         seeds, above = Counter(map(len, self.SEEDS)), [0] + [n for _, n in levels[:-1]]
         assert unions == [(seeds[m] + n * (m + 1), size) for (m, size), n in zip(levels, above)]
         assert max(size for _, size in levels) > 7 and max(decoded) == 7
+
+    def test_listing_runs_no_collection(self, monkeypatch):
+        # the 3,684 compact members of pancake Pi_6's closure come in
+        # blocks of 7 rows; the collector stays paused across every block,
+        # so no collection passes over the list filled so far, and is left
+        # as it was found
+        seeds = distance.pancake_pi(6)
+        expected = complete_and_compact(seeds)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 7)
+        building, starts = [False], []
+
+        def record(phase, info):
+            if building[0] and phase == "start":
+                starts.append(info["generation"])
+
+        enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            gc.collect()  # so the few allocations before the pause trigger none
+            building[0] = True
+            members = complete_and_compact(seeds)
+            building[0] = False
+            assert gc.isenabled()
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if enabled else gc.disable)()
+        assert members == expected and len(members) == 3684
+        assert starts == []
 
 
 class TestNonPermutationsRefused:

@@ -394,7 +394,7 @@ class TestArrayEngine:
         all_keys = engine.keys(np.concatenate(parts)).tolist()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_SORT_KEYS", limit)
-            patch.setattr(engine, "_DISTINCT_KEYS", block)
+            patch.setattr(engine, "_BLOCK_ROWS", block)
             union = engine.unique_keys(iter(parts), len(all_keys))
         assert union.tolist() == sorted(set(all_keys))
         expected = sorted({self.LEVEL[i] for pick in picks for i in pick})
@@ -563,7 +563,7 @@ class TestArrayEngine:
 
     def test_compact_count_a_block_at_a_time(self, monkeypatch):
         # all of B_4, counted in blocks of 7 keys, the last one partial
-        monkeypatch.setattr(engine, "_COUNT_ROWS", 7)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 7)
         keys = engine.keys(engine.rows(self.LEVEL, 4))
         compact = [p for p in self.LEVEL if is_compact(p)]
         assert engine.compact_count(keys, 4) == (len(compact), sum(p[-1] == 4 for p in compact))
@@ -571,7 +571,7 @@ class TestArrayEngine:
     def test_expand_is_every_single_deletion(self, monkeypatch):
         # the union of `deletions`, decoded in blocks of 2 keys, the last
         # one partial
-        monkeypatch.setattr(engine, "_COUNT_ROWS", 2)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 2)
         members = [(4, -1, 3, -2), (-2, 1, 4, 3), (1, 2, 3, 4)]
         expected = sorted({delete(p, i) for p in members for i in range(1, 5)})
         union = engine.unique_keys(engine.deletions(engine.keys(engine.rows(members, 4)), 4), 12)
