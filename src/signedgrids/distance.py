@@ -41,17 +41,21 @@ most split entries.  This one step, `_downset_level`, builds every level:
 the one before, dropping each level of D_{j-1} once the level of D_j of
 its length is built.  The classes are nested, so that walk yields the
 histogram of every class up to k.  `_split_moves` gives each M_c as
-plans (columns to split, segments to reverse) for a row length, and
-`_downset_level` sizes the union from the plans before it gathers their
-parts, so the parts and the row count come from the same plans.  Every
-level is held in one format, the sorted distinct keys that leave the
-union (`engine.unique_keys`).  `_gathers` decodes a source level one
-block of rows at a time and runs every plan of that level on the block,
-and every level is counted from its keys a block of rows at a time
-(`engine.compact_count`), so the walk decodes no level whole, and
-neither does anything else: Pi_k stays sorted keys (`generator_set`)
-until it is turned into tuples (`pancake_pi`, `reversal_pi`) or text
-(the store's export), one block of `engine.blocks` at a time.
+plans (columns to split, segments to reverse) for a row length.
+`_downset_level` turns each plan's segments into its gather index once
+per level, the column order and the sign of every segment
+(`_gather_index`), and sizes the union from that index before it
+gathers the parts, so the parts and the row count come from the same
+index.  Every level is held in one format, the sorted distinct keys that
+leave the union (`engine.unique_keys`).  `_gathers` decodes a source
+level one block of rows at a time, and each plan of that level splits
+its columns of the block in turn and gathers the split rows through its
+index, which no block rebuilds.  Every level is counted from its keys a
+block of rows at a time (`engine.compact_count`), so the walk decodes no
+level whole, and neither does anything else: Pi_k stays sorted keys
+(`generator_set`) until it is turned into tuples (`pancake_pi`,
+`reversal_pi`) or text (the store's export), one block of
+`engine.blocks` at a time.
 
 Every distance class satisfies two facts that its histogram can show.
 Let S be the compact members of the class, the empty permutation
@@ -110,7 +114,6 @@ here too.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache, partial
 from itertools import chain
 from math import factorial
 from pathlib import Path
@@ -126,6 +129,9 @@ if TYPE_CHECKING:  # numpy is loaded by `engine` on the first growth step
     # A part of a growth step (`_split_moves`): the columns split in turn,
     # and the segments reversed and negated.
     Plan = tuple[tuple[int, ...], list[tuple[int, int]]]
+    # A plan as `_gathers` runs it: its columns, then the column order and
+    # the sign of every segment (`_gather_index`).
+    Gather = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
 
 class Family(enum.Enum):
@@ -195,38 +201,19 @@ def check_k(family: Family, k: int, k_ceiling: int | None = None) -> None:
 # left cut is pinned at position 0, outside every entry.
 _MAX_INSIDE = {Family.PANCAKE: 1, Family.REVERSAL: 2}
 
-# Candidate rows per gather in `_reverse_segments`, which yields each gather
-# whole; `_downset_level` hands the gathers to `engine.unique_keys`, which
-# keys each in one pass per column into its slice of the union's buffer.  A
+# Candidate rows per gather in `_gathers`, which yields each gather whole;
+# `_downset_level` hands the gathers to `engine.unique_keys`, which keys
+# each in one pass per column into its slice of the union's buffer.  A
 # gather stays alive until the next one is yielded, through any merge of a
-# batch in between.  When gathers were cut from whole levels, 2^18 and 2^19
-# rows gave the pancake k = 10 walk the same time and peak RSS (5.3 s,
-# 195 MB), and 2^20 was 2 MB lower and 4% slower (medians of 5 runs, 2-core
-# Xeon, Python 3.11, numpy 2.4).  A gather now comes from one block of
-# `engine.blocks`, so it holds at most that block's rows times its segments.
+# batch in between.  A gather comes from one block of `engine.blocks`, so
+# without this limit it holds that block's rows times its plan's segments,
+# up to 67 segments in the reversal k = 6 walk (M_0 at length 11).  2^19
+# kept that walk at 90 MB against 98-99 MB with no limit.  It cuts no
+# gather of the pancake k <= 10 walks, whose plans have at most 11
+# segments, and changes nothing for `reversal_pi(6)` after the reversal
+# classes k <= 5 (59.5-59.7 MB either way; 3 runs each, 2-core Xeon,
+# Python 3.11, numpy 2.4).
 _PART_ROWS = 1 << 19
-
-
-def _reverse_segments(level: np.ndarray, segments: list[tuple[int, int]]) -> Iterator[np.ndarray]:
-    """
-    Every row of the level with each segment [a, b) of its columns reversed
-    and negated, one copy per segment, as one fancy-indexed gather per
-    block of rows.  Each gather is yielded whole, as its (segments, rows,
-    m) stack, for `engine.keys` to key in one pass per column.  numpy lays
-    the gather out as one column-major slab per segment, and the stack is
-    a view of it as it lies, so every column of every slab is contiguous.
-    """
-    import numpy as np
-
-    m = level.shape[1]
-    order = np.tile(np.arange(m), (len(segments), 1))
-    sign = np.ones((len(segments), m), dtype=np.int8)
-    for s, (a, b) in enumerate(segments):
-        order[s, a:b] = np.arange(b - 1, a - 1, -1)
-        sign[s, a:b] = -1
-    step = max(1, _PART_ROWS // len(segments))
-    for start in range(0, len(level), step):
-        yield (level[start : start + step, order] * sign).transpose(1, 0, 2)
 
 
 def _split_moves(m: int, family: Family, inside: int) -> Iterator[Plan]:
@@ -259,33 +246,61 @@ def _split_moves(m: int, family: Family, inside: int) -> Iterator[Plan]:
 def _downset_level(below: dict[int, np.ndarray], m: int, family: Family) -> np.ndarray:
     """The sorted distinct keys of D_k(m), from the sorted keys of the
     levels of D_{k-1} (length -> keys): the union of M_c(D_{k-1}(m - c))
-    over the cuts c that can sit inside a split entry.  The union is sized
-    from the same plans that its parts are gathered from."""
+    over the cuts c that can sit inside a split entry.  Each plan of M_c
+    (`_split_moves`) gets its gather index here, once per level
+    (`_gather_index`), and the union is sized from the same index that
+    its parts are gathered with."""
     from . import engine
 
-    plans = {m - c: list(_split_moves(m - c, family, c)) for c in range(_MAX_INSIDE[family] + 1) if m - c in below}
-    rows = sum(len(below[length]) * len(segments) for length, moves in plans.items() for _, segments in moves)
+    cuts = [c for c in range(_MAX_INSIDE[family] + 1) if m - c in below]
+    plans = {m - c: [(columns, *_gather_index(segments, m)) for columns, segments in _split_moves(m - c, family, c)] for c in cuts}
+    rows = sum(len(below[length]) * len(order) for length, moves in plans.items() for _, order, _ in moves)
     return engine.unique_keys(_gathers(below, plans), rows)
 
 
-def _gathers(below: dict[int, np.ndarray], plans: dict[int, list[Plan]]) -> Iterator[np.ndarray]:
-    """The parts of the plans of each source length (length -> plans),
-    one block of source rows at a time (`engine.blocks`): the block is
-    decoded once, every plan of its length runs on it, splitting its
-    columns in turn and then reversing its segments (`_reverse_segments`),
-    and the block is dropped.  The block's split at a plan's first column
-    is kept for the plans that follow with the same first column, as those
-    of M_2 do."""
+def _gather_index(segments: list[tuple[int, int]], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather index of a plan's segments on split rows of length m:
+    the column order and the sign of every segment, two (segments, m)
+    arrays.  The image of a row under segment s = [a, b) takes its entry
+    j from column a + b - 1 - j of the row, negated, if a <= j < b, and
+    from column j as it is otherwise, so its first entry is
+    sign[s, 0] * row[order[s, 0]]."""
+    import numpy as np
+
+    order = np.tile(np.arange(m), (len(segments), 1))
+    sign = np.ones((len(segments), m), dtype=np.int8)
+    for s, (a, b) in enumerate(segments):
+        order[s, a:b] = np.arange(b - 1, a - 1, -1)
+        sign[s, a:b] = -1
+    return order, sign
+
+
+def _gathers(below: dict[int, np.ndarray], plans: dict[int, list[Gather]]) -> Iterator[np.ndarray]:
+    """The parts of the plans of each source length (length -> plans with
+    their gather index), one block of source rows at a time
+    (`engine.blocks`): the block is decoded once, every plan of its length
+    splits its columns in turn and gathers the split rows through its
+    index, `_PART_ROWS` candidate rows at a time, and the block is
+    dropped.  Each gather is yielded whole, as its (segments, rows, m)
+    stack, for `engine.keys` to key in one pass per column.  numpy lays
+    the gather out as one column-major slab per segment, and the stack is
+    a view of it as it lies, so every column of every slab is
+    contiguous."""
     from . import engine
 
     for length, moves in plans.items():
         for block in engine.blocks(below[length], length):
-            first_split = lru_cache(maxsize=1)(partial(engine.split_column, block))
-            for columns, segments in moves:
-                level = first_split(columns[0]) if columns else block
+            for columns, order, sign in moves:
+                # The last plan's split is dropped only once this one is
+                # built: dropped first, it made growing pancake Pi_10 fault
+                # in 34K pages against 1.8K (glibc malloc, 2-core Xeon,
+                # Python 3.11, numpy 2.4).
+                split = engine.split_column(block, columns[0]) if columns else block
                 for j in columns[1:]:
-                    level = engine.split_column(level, j)
-                yield from _reverse_segments(level, segments)
+                    split = engine.split_column(split, j)
+                step = max(1, _PART_ROWS // len(order))
+                for start in range(0, len(split), step):
+                    yield (split[start : start + step, order] * sign).transpose(1, 0, 2)
 
 
 def generator_set(family: Family, k: int) -> np.ndarray:

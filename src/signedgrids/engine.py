@@ -132,9 +132,10 @@ _BLOCK_ROWS = 1 << 14
 # k <= 5 is one sort (the largest, pancake D_9(8), has 1,642,772 rows).
 # A single sort holds all its rows' keys, a merge the result and a batch
 # not much larger: 2^21 and 2^22 gave the pancake k = 10 walk the same
-# peak RSS (195 MB) and 5.4 and 5.1 s, and 2^21 kept the full reversal
-# B_7 search 11 MB lower, at 56 MB against 67 (medians of 5 runs, 2-core
-# Xeon, Python 3.11, numpy 2.4).
+# peak RSS (158-159 MB) and times inside the host's noise (3.3-4.1 s
+# against 3.2-3.8 s), and 2^21 kept the full reversal B_7 search 10 MB
+# lower, at 54 MB against 64 (3 runs each, 2-core Xeon, Python 3.11,
+# numpy 2.4).
 _SORT_KEYS = 1 << 21
 
 # The key layout: 5 bits per entry, each entry x but the last stored as

@@ -330,6 +330,27 @@ class TestNoWholeDecode:
         assert _digests(tmp_path) == COLD_DIGESTS
         assert max(decoded) == 7
 
+    def test_blocks_cut_into_gathers(self, tmp_path, monkeypatch):
+        # With blocks of 7 rows and at most 64 candidate rows a gather,
+        # every block of a plan of more than 9 segments is cut into several
+        # gathers; the histograms and the store are those of the defaults.
+        runs = ((Family.PANCAKE, 5), (Family.REVERSAL, 4))
+        want = [distance_classes(family, range(k + 1)) for family, k in runs]
+        gathers, gathers_of = [], distance._gathers  # (segments, rows) of each gather
+
+        def recorded_gathers(below, plans):
+            for part in gathers_of(below, plans):
+                gathers.append(part.shape[:2])
+                yield part
+
+        self._record(monkeypatch)
+        monkeypatch.setattr(distance, "_PART_ROWS", 64)
+        monkeypatch.setattr(distance, "_gathers", recorded_gathers)
+        assert [distance_classes(family, range(k + 1), cache_dir=tmp_path) for family, k in runs] == want
+        assert _digests(tmp_path) == COLD_DIGESTS
+        assert all(rows <= max(1, 64 // segments) for segments, rows in gathers)
+        assert any(64 // segments < 7 for segments, _ in gathers)
+
     @pytest.mark.parametrize("family,k", list(GROWN_DIGESTS), ids=lambda v: str(v))
     def test_grown_export_across_block_edges(self, tmp_path, monkeypatch, family, k):
         # Pi_k grown in full-size blocks, written in blocks of 7 rows

@@ -2,6 +2,7 @@
 import math
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from signedgrids import distance, engine, gridclass
+from signedgrids import distance, engine, gridclass, oracle
 from signedgrids.cli import main
 from signedgrids.distance import (
+    BFS_LAYERS,
     Family,
     ResourceLimitError,
     apply_move,
@@ -373,6 +375,60 @@ def test_downset_levels_equal_deletion_closure(monkeypatch, family, k):
     assert [m for m, _ in levels] == [m for _, m in expected]
     for (m, keys), (want, _) in zip(levels, expected):
         assert np.array_equal(keys, want), f"{family.value} k={k}, length {m}"
+
+
+class TestMergeRegime:
+    # With `engine._SORT_KEYS` at 64, every union of more than 64 rows
+    # merges its batches into its result, as at the default only the
+    # largest walks, closures and balls do; each result equals the one
+    # that the default gives.
+    @staticmethod
+    def _merging(monkeypatch):
+        """Set the limit to 64 keys, and count the unions and the sorts."""
+        calls = Counter()
+        unique_keys, sorted_distinct = engine.unique_keys, engine._sorted_distinct
+
+        def counted_union(parts, rows):
+            calls["unions"] += 1
+            return unique_keys(parts, rows)
+
+        def counted_sort(keys):
+            calls["sorts"] += 1
+            return sorted_distinct(keys)
+
+        monkeypatch.setattr(engine, "_SORT_KEYS", 64)
+        monkeypatch.setattr(engine, "unique_keys", counted_union)
+        monkeypatch.setattr(engine, "_sorted_distinct", counted_sort)
+        return calls
+
+    @staticmethod
+    def _walk(family, k):
+        hists, tops = distance._computed_histograms(family, k, range(1, k + 1))
+        return hists, {j: keys.tolist() for j, keys in tops.items()}
+
+    @pytest.mark.parametrize("family,k", [(Family.PANCAKE, 6), (Family.REVERSAL, 3)], ids=str)
+    def test_walk(self, monkeypatch, family, k):
+        want = self._walk(family, k)
+        calls = self._merging(monkeypatch)
+        assert self._walk(family, k) == want
+        assert calls["sorts"] > calls["unions"] > 0  # some union merged
+
+    def test_closure(self, monkeypatch):
+        pi = pancake_pi(5)
+        want = gridclass.closure_histogram(pi)
+        calls = self._merging(monkeypatch)
+        assert gridclass.closure_histogram(pi) == want
+        assert calls["sorts"] > calls["unions"] > 0
+
+    @pytest.mark.parametrize("family", list(Family), ids=str)
+    def test_ball(self, monkeypatch, family):
+        # each ball to the diameter of B_n: every layer but the last is a
+        # union, and the last is counted a key range at a time
+        ks = {n: len(layers) - 1 for n, layers in enumerate(BFS_LAYERS[family][:6], 1)}
+        want = [oracle.ball(n, k, family) for n, k in ks.items()]
+        calls = self._merging(monkeypatch)
+        assert [oracle.ball(n, k, family) for n, k in ks.items()] == want
+        assert calls["sorts"] > calls["unions"] > 0
 
 
 class TestDistancePolynomial:

@@ -163,7 +163,7 @@ def test_oracle_keeps_its_own_moves():
     package = ROOT / "src" / "signedgrids"
     source = (package / "oracle.py").read_text()
     names = ["delete_column", "split_column", "deletions", "compact_mask"]
-    names += ["_reverse_segments", "_split_moves", "_gathers", "_downset_level", "_computed_histograms"]
+    names += ["_gather_index", "_split_moves", "_gathers", "_downset_level", "_computed_histograms"]
     assert re.findall(rf"\b(?:{'|'.join(names)})\b", source) == []
     # a renamed or deleted name would leave the guard checking nothing
     defined = (package / "distance.py").read_text() + (package / "engine.py").read_text()
