@@ -114,7 +114,6 @@ here too.
 from __future__ import annotations
 
 import enum
-from itertools import chain
 from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator, Sequence
@@ -339,14 +338,12 @@ def reversal_pi(k: int) -> gridclass.PermSet:
 
 
 def _tuples(family: Family, k: int) -> gridclass.PermSet:
-    """Pi_k as tuples, added to the set one block of its keys at a time
-    (`engine.blocks`), with the cyclic collector paused throughout (see
-    `engine`'s module docstring)."""
+    """Pi_k as tuples, decoded one block of its keys at a time
+    (`engine.blocks`) and added to one set by `engine.tuple_set`, which
+    pauses the cyclic collector across the fill."""
     from . import engine
 
-    blocks = engine.blocks(generator_set(family, k), _generator_length(family, k))
-    with engine.collector_paused():
-        return frozenset(chain.from_iterable(map(engine.to_tuples, blocks)))
+    return engine.tuple_set(engine.blocks(generator_set(family, k), _generator_length(family, k)))
 
 
 def _generator_length(family: Family, k: int) -> int:

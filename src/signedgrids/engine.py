@@ -9,8 +9,9 @@ length m.  The operators act on all rows at once with int8 arithmetic:
     rows(perms, m)        tuples of length m -> a level
     levels(perms)         tuples of any lengths -> {length: level}
     to_tuples(block)      one block of a level (`blocks`) -> tuples that
-                          share one int object per value, built with the
-                          cyclic collector paused
+                          share one int object per value
+    tuple_set(blocks)     the rows of many blocks -> one frozenset of
+                          tuples, filled with the cyclic collector paused
     delete_column(l, i)   `perm.delete` of entry i (0-based) from every row
     split_column(l, i)    `perm.inflate` of entry i into a monotone pair
     compact_mask(l)       `perm.is_compact` of every row
@@ -65,18 +66,17 @@ walk's gathers come: `keys` takes each column of all its levels in one
 pass, so a gather costs one call however many segments it holds.
 
 `to_tuples` makes one tuple per row of a block, up to `_BLOCK_ROWS` a
-call and hundreds of thousands over a large Pi_k.  They hold only ints
-and so form no cycle, and the cyclic collector is paused while they are
-built (`collector_paused`): left on, it would pass over the young tuples
-every few hundred allocations and over the whole heap now and then.  The
+call, and a set of Pi_k or of a closure's compact members has hundreds
+of thousands of them.  They hold only ints and so form no cycle.
+`tuple_set` is the one place that fills such a set, and the only code
+that touches the cyclic collector: it pauses it across every block, and
+restores its earlier state however the fill ends.  Left on, the
+collector would pass over the young tuples every few hundred
+allocations, and after each block over the set filled so far; those
+collections took about a quarter of `reversal_pi(6)`'s time.  The
 collection that falls due meanwhile runs once, at the first allocation
 the collector tracks after it is switched back on, in the caller, and
-finds every new tuple free of cycles.  A caller that fills one set from
-many blocks, as `distance` does with Pi_k and `gridclass` with a
-closure's compact members, pauses the collector around the whole fill
-too: a collection after each block would also pass over the set filled
-so far, and those collections took about a quarter of `reversal_pi(6)`'s
-time.
+finds every new tuple free of cycles.
 
 numpy is imported at the top of this module alone; `distance`,
 `gridclass`, `oracle` and `cache` import this module only inside the
@@ -97,6 +97,7 @@ from __future__ import annotations
 
 import gc
 import os
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 # numpy with no OpenBLAS worker threads, os.environ left as it was (see the
@@ -184,31 +185,32 @@ def levels(perms: Iterable[SignedPerm]) -> dict[int, np.ndarray]:
     return {m: rows(ps, m) for m, ps in by_length.items()}
 
 
-class collector_paused:
-    """A context in which the cyclic collector is paused (see the module
-    docstring); its earlier state is restored however the context ends,
-    and nothing the collector tracks is allocated once it is back on."""
-
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc: object) -> None:
-        if self.enabled:
-            gc.enable()
-
-
 def to_tuples(block: np.ndarray) -> list[SignedPerm]:
     """
     The rows of one block (`blocks`) as tuples whose entries are shared
-    int objects, built by a `zip` over one list of shared ints per column,
-    with the cyclic collector paused (`collector_paused`).
+    int objects, built by a `zip` over one list of shared ints per column.
     """
     if not block.shape[1]:
         return [()] * len(block)
-    with collector_paused():
-        shifted = block.astype(np.intp) + MAX_LENGTH
-        return list(zip(*(_SHARED_INTS[column].tolist() for column in shifted.T)))
+    shifted = block.astype(np.intp) + MAX_LENGTH
+    return list(zip(*(_SHARED_INTS[column].tolist() for column in shifted.T)))
+
+
+def tuple_set(blocks: Iterable[np.ndarray]) -> frozenset[SignedPerm]:
+    """
+    The rows of the given blocks as one frozenset of tuples (`to_tuples`
+    per block), filled with the cyclic collector paused across every
+    block (see the module docstring).  The collector is left as it was
+    found, also when the fill raises, and nothing it tracks is allocated
+    once it is back on.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return frozenset(chain.from_iterable(map(to_tuples, blocks)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def delete_column(level: np.ndarray, i: int) -> np.ndarray:

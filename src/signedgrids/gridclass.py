@@ -80,15 +80,15 @@ def complete_and_compact(perms: Iterable[SignedPerm]) -> PermSet:
     contained in a member of the input, kept only if compact, together
     with the empty permutation.  Grid(S) = Grid(perms) and the grid class
     decomposes as the disjoint union of the fillings of the members of S.
+    The set is filled by `engine.tuple_set`, with the cyclic collector
+    paused, from one length-0 block holding the empty permutation and the
+    compact rows of each block of every closure level; the closure runs
+    inside that fill.
     """
     from . import engine
 
-    members: list[SignedPerm] = [()]  # the empty permutation is in every downset
-    with engine.collector_paused():  # across the blocks, as `distance` fills Pi_k
-        for keys, m in _closure(perms):
-            for block in engine.blocks(keys, m):
-                members.extend(engine.to_tuples(block[engine.compact_mask(block)]))
-        return frozenset(members)
+    compact = (block[engine.compact_mask(block)] for keys, m in _closure(perms) for block in engine.blocks(keys, m))
+    return engine.tuple_set(chain([engine.rows([()], 0)], compact))
 
 
 def closure_histogram(perms: Iterable[SignedPerm]) -> LengthHistogram:

@@ -138,6 +138,24 @@ class TestBlockedClosure:
         assert members == expected and len(members) == 3684
         assert starts == []
 
+    def test_refused_seed_leaves_the_collector_as_found(self):
+        # the closure runs inside the paused fill, so its ValueError for a
+        # seed that is no signed permutation comes from inside it
+        paused = []
+        levels = engine.levels
+        enabled = gc.isenabled()
+        try:
+            for state in (True, False):
+                (gc.enable if state else gc.disable)()
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(engine, "levels", lambda perms: paused.append(not gc.isenabled()) or levels(perms))
+                    with pytest.raises(ValueError, match=r"^absolute values are not exactly 1\.\.3: \(2, 2, -5\)$"):
+                        complete_and_compact([(2, 1, 3), (2, 2, -5)])
+                assert gc.isenabled() is state
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        assert paused == [True, True]
+
 
 class TestNonPermutationsRefused:
     # each would count or list rows that are no signed permutations

@@ -1,12 +1,14 @@
 """Module boundaries: no private cross-module imports, one owner of the store
-and of the generator sets, no reader of `.perms` files outside `cache`, and a
-BFS oracle with its own move code."""
+and of the generator sets, no reader of `.perms` files outside `cache`, one
+function that pauses the cyclic collector, and a BFS oracle with its own move
+code."""
 import ast
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -77,6 +79,24 @@ def test_permset_files_read_only_by_cache(path):
     # Pi_k is always grown; `pi_k.perms` is an export the program never reads
     if path.name != "cache.py":
         assert re.findall(r"\bread_(?:packed|permset)\b", path.read_text()) == []
+
+
+def _collector_users(node: ast.AST, scope: str | None) -> Iterator[str | None]:
+    """The name of the innermost function or class (None at module level)
+    of every use of the name `gc` under `node`."""
+    if isinstance(node, ast.Name) and node.id == "gc":
+        yield scope
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = node.name
+    for child in ast.iter_child_nodes(node):
+        yield from _collector_users(child, scope)
+
+
+def test_collector_touched_only_by_tuple_set():
+    # every set of tuples filled from blocks is filled by `engine.tuple_set`,
+    # so it is the one place the cyclic collector is paused and restored
+    users = {(path.name, scope) for path in SOURCES for scope in _collector_users(ast.parse(path.read_text()), None)}
+    assert users == {("engine.py", "tuple_set")}
 
 
 def _loaded_modules(*argv: str) -> set[str]:

@@ -433,9 +433,14 @@ class TestArrayEngine:
         assert engine.to_tuples(np.empty((3, 0), dtype=np.int8)) == [(), (), ()]
         assert engine.to_tuples(engine.delete_column(engine.rows([(1,)], 1), 0)) == [()]
 
-    def test_to_tuples_runs_no_collection(self):
-        # 23,040 new tuples, far past the young generation's threshold:
-        # an enabled collector would pass over them dozens of times
+    def _sevens(self, level):
+        """The rows of `level` as blocks of 7 rows, made as they are read."""
+        return (level[start : start + 7] for start in range(0, len(level), 7))
+
+    def test_tuple_set_runs_no_collection(self):
+        # 23,040 new tuples in blocks of 7 rows, far past the young
+        # generation's threshold: an enabled collector would pass over them
+        # dozens of times, and over the set filled so far after each block
         big = np.tile(engine.rows(self.LEVEL, 4), (60, 1))
         building, starts = [False], []
 
@@ -447,30 +452,52 @@ class TestArrayEngine:
         gc.enable()
         gc.callbacks.append(record)
         try:
+            blocks = self._sevens(big)
             gc.collect()  # so the few allocations before the pause trigger none
             building[0] = True
-            tuples = engine.to_tuples(big)
+            members = engine.tuple_set(blocks)
             building[0] = False
+            assert gc.isenabled()
         finally:
             gc.callbacks.remove(record)
             (gc.enable if enabled else gc.disable)()
-        assert tuples == self.LEVEL * 60
+        assert members == frozenset(self.LEVEL)
         assert starts == []
 
-    def test_to_tuples_restores_the_collector(self):
-        # the collector is paused while tuples are built, and left as it
-        # was found, also when the build raises
+    def test_tuple_set_of_few_blocks(self):
+        level = engine.rows(self.LEVEL, 4)
+        assert engine.tuple_set([]) == engine.tuple_set(iter(())) == frozenset()
+        assert engine.tuple_set([engine.rows([()], 0)]) == {()}
+        assert engine.tuple_set([level[:7], level[3:10]]) == frozenset(self.LEVEL[:10])
+        assert engine.tuple_set(self._sevens(level)) == frozenset(self.LEVEL)
+
+    def test_tuple_set_restores_the_collector(self):
+        # the collector is paused while the set is filled, and left as it
+        # was found, also when a block or the block iterator raises
         level = engine.rows(self.LEVEL, 4)
         bad = np.full((2, 4), 100, dtype=np.int8)  # past every shared int
+        read = []
+
+        def two_blocks_then_fail():
+            for block in self._sevens(level):
+                if len(read) == 2:
+                    raise RuntimeError("no third block")
+                read.append(block)
+                yield block
+
         enabled = gc.isenabled()
         try:
             for state in (True, False):
                 (gc.enable if state else gc.disable)()
-                assert engine.to_tuples(level) == self.LEVEL
+                assert engine.tuple_set(self._sevens(level)) == frozenset(self.LEVEL)
                 assert gc.isenabled() is state
                 with pytest.raises(IndexError):
-                    engine.to_tuples(bad)
+                    engine.tuple_set([level[:7], bad])
                 assert gc.isenabled() is state
+                read.clear()
+                with pytest.raises(RuntimeError, match="^no third block$"):
+                    engine.tuple_set(two_blocks_then_fail())
+                assert len(read) == 2 and gc.isenabled() is state
         finally:
             (gc.enable if enabled else gc.disable)()
 
